@@ -25,8 +25,8 @@ use contango_core::flow::StageSnapshot;
 use contango_core::pipeline::NoopObserver;
 use contango_core::session::EngineSession;
 use contango_sim::{
-    monte_carlo_samples, scaled_netlist, scaled_technology, CacheCounters, CacheStore, Evaluator,
-    Netlist, VariationModel,
+    corner_metrics, monte_carlo_samples, CacheCounters, CacheStore, Evaluator, Netlist,
+    VariationModel,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -227,13 +227,16 @@ pub(crate) fn run_job(
             &job.instance,
             &mut NoopObserver,
         )
-        .map(|result| JobMetrics {
-            summary: RunSummary::from_result(&job.benchmark, &job.tool, &job.instance, &result),
-            corners: evaluate_corners(job, &result.netlist),
-            variation: job
-                .variation
-                .map(|spec| evaluate_variation(job, &result.netlist, spec)),
-            snapshots: result.snapshots,
+        .map(|result| {
+            let evaluator = Evaluator::with_model(job.tech.clone(), job.config.model);
+            JobMetrics {
+                summary: RunSummary::from_result(&job.benchmark, &job.tool, &job.instance, &result),
+                corners: evaluate_corners(job, &evaluator, &result.netlist),
+                variation: job
+                    .variation
+                    .map(|spec| evaluate_variation(&evaluator, &result.netlist, spec)),
+                snapshots: result.snapshots,
+            }
         });
     let cache = store.map(|_| sess.take_job_profile());
     JobRecord {
@@ -246,22 +249,21 @@ pub(crate) fn run_job(
 }
 
 /// Re-evaluates the finished network at each of the job's discrete
-/// corners. Deterministic: each corner gets a fresh evaluator over a fixed
-/// scaling of the netlist and technology, so the metrics are independent
-/// of session warmth, worker count and cache state.
-fn evaluate_corners(job: &Job, netlist: &Netlist) -> Vec<CornerMetrics> {
+/// corners through [`corner_metrics`]. Deterministic: each corner is a
+/// fixed scaling of the netlist and technology evaluated from scratch, so
+/// the metrics are independent of session warmth, worker count and cache
+/// state.
+fn evaluate_corners(job: &Job, evaluator: &Evaluator, netlist: &Netlist) -> Vec<CornerMetrics> {
     job.corners
         .iter()
         .map(|&corner| {
             let (res_f, cap_f, vdd_f) = corner.factors();
-            let evaluator =
-                Evaluator::with_model(scaled_technology(&job.tech, vdd_f), job.config.model);
-            let report = evaluator.evaluate(&scaled_netlist(netlist, res_f, cap_f));
+            let metrics = corner_metrics(evaluator, netlist, res_f, cap_f, vdd_f);
             CornerMetrics {
                 corner: corner.label().to_string(),
-                clr: report.clr(),
-                skew: report.skew(),
-                max_latency: report.max_latency(),
+                clr: metrics.clr,
+                skew: metrics.skew,
+                max_latency: metrics.max_latency,
             }
         })
         .collect()
@@ -270,9 +272,12 @@ fn evaluate_corners(job: &Job, netlist: &Netlist) -> Vec<CornerMetrics> {
 /// Draws the job's Monte-Carlo samples of the finished network. Seeded and
 /// self-contained, so the same spec reproduces the same skew population on
 /// any worker.
-fn evaluate_variation(job: &Job, netlist: &Netlist, spec: VariationSpec) -> VariationMetrics {
-    let evaluator = Evaluator::with_model(job.tech.clone(), job.config.model);
-    let drawn = monte_carlo_samples(&evaluator, netlist, &spec.model, spec.samples, spec.seed);
+fn evaluate_variation(
+    evaluator: &Evaluator,
+    netlist: &Netlist,
+    spec: VariationSpec,
+) -> VariationMetrics {
+    let drawn = monte_carlo_samples(evaluator, netlist, &spec.model, spec.samples, spec.seed);
     let skews: Vec<f64> = drawn.iter().map(|s| s.skew).collect();
     let worst_skew = skews.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let mean_skew = skews.iter().sum::<f64>() / skews.len() as f64;

@@ -1,6 +1,6 @@
 //! Driver models: clock source and buffer/inverter stages.
 
-use contango_tech::{CompositeBuffer, Technology};
+use contango_tech::CompositeBuffer;
 use serde::{Deserialize, Serialize};
 
 /// Ratio between the pull-up and pull-down effective resistance of an
@@ -52,23 +52,19 @@ impl DriverSpec {
         }
     }
 
-    /// Output resistance for a given transition direction at a given supply.
+    /// Output resistance for a given transition direction at a supply whose
+    /// [`contango_tech::Technology::derate`] factor is `derate`.
     ///
     /// Rising outputs are driven by the (slightly weaker) pull-up network,
     /// falling outputs by the pull-down network; both derate with supply
-    /// voltage through [`Technology::derate`].
-    pub fn corner_res(&self, tech: &Technology, vdd: f64, output_rising: bool) -> f64 {
+    /// voltage.
+    pub(crate) fn derated_res(&self, derate: f64, output_rising: bool) -> f64 {
         let asym = if output_rising {
             RISE_FALL_ASYMMETRY
         } else {
             1.0 / RISE_FALL_ASYMMETRY
         };
-        self.output_res * asym * tech.derate(vdd)
-    }
-
-    /// Intrinsic delay at a given supply.
-    pub fn corner_intrinsic(&self, tech: &Technology, vdd: f64) -> f64 {
-        self.intrinsic_delay * tech.derate(vdd)
+        self.output_res * asym * derate
     }
 }
 
@@ -133,8 +129,8 @@ mod tests {
         let tech = Technology::ispd09();
         let c = tech.composite(tech.small_inverter(), 8);
         let d = DriverSpec::from_composite(&c);
-        let nominal = d.corner_res(&tech, 1.2, true);
-        let low = d.corner_res(&tech, 1.0, true);
+        let nominal = d.derated_res(tech.derate(1.2), true);
+        let low = d.derated_res(tech.derate(1.0), true);
         assert!(low > nominal);
     }
 
@@ -143,8 +139,8 @@ mod tests {
         let tech = Technology::ispd09();
         let c = tech.composite(tech.small_inverter(), 1);
         let d = DriverSpec::from_composite(&c);
-        let up = d.corner_res(&tech, 1.2, true);
-        let down = d.corner_res(&tech, 1.2, false);
+        let up = d.derated_res(tech.derate(1.2), true);
+        let down = d.derated_res(tech.derate(1.2), false);
         assert!(up > down);
         assert!((up / down - RISE_FALL_ASYMMETRY * RISE_FALL_ASYMMETRY).abs() < 1e-9);
     }

@@ -5,12 +5,23 @@
 //! transitions from the clock source through every buffered stage and
 //! reports per-sink latencies and slews at both supply corners, from which
 //! skew, Clock Latency Range and slew violations are derived.
+//!
+//! Every full evaluation runs through one stage walk, [`Evaluator::walk`]:
+//! it visits the stages once in topological order, solves both supply
+//! corners at each stage, and can scale each stage's wire resistance, node
+//! capacitance and drive resistance by a [`StageScale`] on the fly.
+//! [`Evaluator::evaluate`] is the unit-scale case; Monte-Carlo samples and
+//! process corners ([`crate::variation`]) re-evaluate a finished netlist
+//! under other scales and supplies without building a perturbed copy of it.
+//! Scaling by exactly `1.0` is exact, so every path reports the bits an
+//! evaluation of the equivalently scaled netlist would.
 
 use crate::driver::DriverSpec;
 use crate::models::{analytic_tap_timing, DelayModel};
 use crate::netlist::{Netlist, StageDriver, TapKind};
 use crate::report::{CornerReport, EvalReport, SinkTiming, TransitionTiming};
 use crate::transient::TransientSolver;
+use crate::RcTree;
 use contango_tech::Technology;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -31,7 +42,7 @@ impl Default for EvalOptions {
 }
 
 /// State of one transition edge arriving at a stage's driver input.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct EdgeState {
     /// Arrival time relative to the corresponding source edge, in ps.
     pub(crate) arrival: f64,
@@ -40,7 +51,7 @@ pub(crate) struct EdgeState {
 }
 
 /// Rising and falling edge state at one point of the network.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct NodeState {
     pub(crate) rise: EdgeState,
     pub(crate) fall: EdgeState,
@@ -57,6 +68,130 @@ pub(crate) struct RelTiming {
     pub(crate) delay: f64,
     /// 10%–90% output slew at the tap, in ps.
     pub(crate) slew: f64,
+}
+
+/// Multiplicative factors applied to one stage's electricals during an
+/// evaluation: the per-stage half of a Monte-Carlo sample or a process
+/// corner.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct StageScale {
+    /// Factor on every wire resistance of the stage's RC tree.
+    pub(crate) res: f64,
+    /// Factor on every node capacitance of the stage's RC tree.
+    pub(crate) cap: f64,
+    /// Factor on the buffer's output (drive) resistance.
+    pub(crate) drive: f64,
+}
+
+impl Default for StageScale {
+    fn default() -> Self {
+        Self::UNIT
+    }
+}
+
+impl StageScale {
+    /// No scaling.
+    pub(crate) const UNIT: Self = Self {
+        res: 1.0,
+        cap: 1.0,
+        drive: 1.0,
+    };
+
+    /// `driver` with its drive resistance scaled; the off-chip clock source
+    /// is never scaled.
+    pub(crate) fn driver(&self, driver: StageDriver) -> StageDriver {
+        match driver {
+            StageDriver::Source(s) => StageDriver::Source(s),
+            StageDriver::Buffer(mut d) => {
+                d.output_res *= self.drive;
+                StageDriver::Buffer(d)
+            }
+        }
+    }
+
+    /// `tree` with its resistances and capacitances scaled.
+    pub(crate) fn tree(&self, tree: &RcTree) -> RcTree {
+        let mut out = RcTree::new();
+        tree.scaled_into(self.res, self.cap, &mut out);
+        out
+    }
+
+    /// Whether the RC-tree factors are both exactly one.
+    fn keeps_tree(&self) -> bool {
+        self.res == 1.0 && self.cap == 1.0
+    }
+}
+
+/// The supply voltages of the two corners an evaluation solves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Supply {
+    /// Nominal (high) supply, V; the reference of every derate.
+    pub(crate) nominal: f64,
+    /// Low supply, V.
+    pub(crate) low: f64,
+}
+
+impl Supply {
+    /// The technology's own two corners.
+    pub(crate) fn of(tech: &Technology) -> Self {
+        Self {
+            nominal: tech.nominal_corner.vdd,
+            low: tech.low_corner.vdd,
+        }
+    }
+}
+
+/// Reusable scratch of [`Evaluator::walk`] over one netlist. Its size is
+/// bounded by the stage count plus the largest stage's node count, however
+/// many walks reuse it.
+#[derive(Debug)]
+pub(crate) struct WalkScratch {
+    /// Stage indices in topological order.
+    order: Vec<usize>,
+    /// Input edges of every stage at both corners, written by the parent
+    /// stage before the topological order reaches the child.
+    inputs: Vec<[NodeState; 2]>,
+    stage: StageScratch,
+    rise: Vec<RelTiming>,
+    fall: Vec<RelTiming>,
+}
+
+impl WalkScratch {
+    pub(crate) fn new(netlist: &Netlist) -> Self {
+        Self {
+            order: netlist.topological_order(),
+            inputs: vec![[NodeState::default(); 2]; netlist.len()],
+            stage: StageScratch::default(),
+            rise: Vec::new(),
+            fall: Vec::new(),
+        }
+    }
+}
+
+/// One stage loaded under its scale, ready for any number of transition
+/// solves: the driver-independent sweeps for the analytic models, a scaled
+/// copy of the tree for the transient model (unless the scale keeps it).
+#[derive(Debug, Default)]
+struct StageScratch {
+    scale: StageScale,
+    down: Vec<f64>,
+    rd: Vec<f64>,
+    m1: Vec<f64>,
+    m2: Vec<f64>,
+    weighted: Vec<f64>,
+    scaled: RcTree,
+}
+
+impl StageScratch {
+    fn load(&mut self, model: DelayModel, tree: &RcTree, scale: StageScale) {
+        self.scale = scale;
+        if model.is_analytic() {
+            tree.downstream_caps_into(scale.cap, &mut self.down);
+            tree.wire_delays_into(scale.res, &self.down, &mut self.rd);
+        } else if !scale.keeps_tree() {
+            tree.scaled_into(scale.res, scale.cap, &mut self.scaled);
+        }
+    }
 }
 
 /// The clock-network evaluator ("circuit simulation tool" of the paper).
@@ -120,137 +255,160 @@ impl Evaluator {
     /// Evaluates the netlist at both supply corners.
     pub fn evaluate(&self, netlist: &Netlist) -> EvalReport {
         self.count_run();
-        let nominal = self.evaluate_corner(netlist, self.tech.nominal_corner.vdd);
-        let low = self.evaluate_corner(netlist, self.tech.low_corner.vdd);
+        let supply = Supply::of(&self.tech);
+        let mut sinks: [Vec<SinkTiming>; 2] = [Vec::new(), Vec::new()];
+        let max_slew = self.walk(
+            netlist,
+            &mut WalkScratch::new(netlist),
+            |_| StageScale::UNIT,
+            supply,
+            |corner, timing| sinks[corner].push(timing),
+        );
+        let [nominal, low] = sinks;
+        let corner = |vdd: f64, mut sinks: Vec<SinkTiming>, max_slew: f64| {
+            sinks.sort_by_key(|s| s.sink_id);
+            CornerReport {
+                vdd,
+                sinks,
+                max_slew,
+            }
+        };
         EvalReport {
-            nominal,
-            low,
+            nominal: corner(supply.nominal, nominal, max_slew[0]),
+            low: corner(supply.low, low, max_slew[1]),
             total_cap: netlist.total_cap(),
             slew_limit: self.tech.slew_limit,
             buffer_count: netlist.buffer_count(),
         }
     }
 
-    /// Evaluates the netlist at a single supply corner.
-    fn evaluate_corner(&self, netlist: &Netlist, vdd: f64) -> CornerReport {
-        let order = netlist.topological_order();
-        let mut inputs: Vec<Option<NodeState>> = vec![None; netlist.len()];
-        inputs[netlist.root] = Some(NodeState {
-            rise: EdgeState {
-                arrival: 0.0,
-                slew: source_slew(netlist),
-            },
-            fall: EdgeState {
-                arrival: 0.0,
-                slew: source_slew(netlist),
-            },
-        });
+    /// The stage walk behind every full evaluation: propagates both
+    /// transitions from the clock source through every stage at the
+    /// `supply` corners, with stage `si` scaled by `scale(si)`, hands every
+    /// sink's timing to `visit` with its corner (0 nominal, 1 low) and
+    /// returns the worst slew of each corner, internal stage inputs
+    /// included.
+    ///
+    /// Each stage is loaded once for both corners: its downstream
+    /// capacitances and wire terms (analytic models) or its scaled tree copy
+    /// (transient) go into `scratch`, so the walk allocates nothing beyond
+    /// what the transient solver itself needs.
+    pub(crate) fn walk(
+        &self,
+        netlist: &Netlist,
+        scratch: &mut WalkScratch,
+        scale: impl Fn(usize) -> StageScale,
+        supply: Supply,
+        mut visit: impl FnMut(usize, SinkTiming),
+    ) -> [f64; 2] {
+        let vdd = [supply.nominal, supply.low];
+        // Derated only once a buffer stage needs it: the source never
+        // derates.
+        let mut derate: [Option<f64>; 2] = [None; 2];
+        let mut max_slew = [0.0_f64; 2];
+        let WalkScratch {
+            order,
+            inputs,
+            stage: loaded,
+            rise,
+            fall,
+        } = scratch;
+        let source = EdgeState {
+            arrival: 0.0,
+            slew: source_slew(netlist),
+        };
+        inputs[netlist.root] = [NodeState {
+            rise: source,
+            fall: source,
+        }; 2];
 
-        let mut sinks: Vec<SinkTiming> = Vec::new();
-        let mut max_slew = 0.0_f64;
-
-        for si in order {
+        for &si in order.iter() {
             let stage = &netlist.stages[si];
-            let input = inputs[si].expect("topological order guarantees inputs are known");
-            let driver = stage.driver.spec();
-            let inverting = stage.driver.inverting();
-            let is_source = stage.driver.is_source();
+            let stage_scale = scale(si);
+            let driver = stage_scale.driver(stage.driver);
+            let spec = driver.spec();
+            let is_source = driver.is_source();
+            loaded.load(self.options.model, &stage.tree, stage_scale);
 
-            // Output rising edge is caused by the input falling edge for an
-            // inverter, by the input rising edge otherwise; and vice versa.
-            let (in_for_rise, in_for_fall) = if inverting {
-                (input.fall, input.rise)
-            } else {
-                (input.rise, input.fall)
-            };
+            for c in 0..2 {
+                let input = inputs[si][c];
+                // Output rising edge is caused by the input falling edge for
+                // an inverter, by the input rising edge otherwise; and vice
+                // versa.
+                let (in_rise, in_fall) = if driver.inverting() {
+                    (input.fall, input.rise)
+                } else {
+                    (input.rise, input.fall)
+                };
+                let derate_c = if is_source {
+                    1.0
+                } else {
+                    *derate[c]
+                        .get_or_insert_with(|| self.tech.derate_against(vdd[c], supply.nominal))
+                };
+                let taps = stage.taps.iter().map(|t| t.node);
+                for (out, edge, rising) in
+                    [(&mut *rise, in_rise, true), (&mut *fall, in_fall, false)]
+                {
+                    self.solve_transition(
+                        &stage.tree,
+                        loaded,
+                        taps.clone(),
+                        &spec,
+                        is_source,
+                        vdd[c],
+                        derate_c,
+                        rising,
+                        edge.slew,
+                        out,
+                    );
+                }
 
-            let taps = stage.taps.iter().map(|t| t.node);
-            let rise_rel = self.stage_rel_outputs(
-                &stage.tree,
-                taps.clone(),
-                &driver,
-                is_source,
-                vdd,
-                true,
-                in_for_rise.slew,
-            );
-            let fall_rel = self.stage_rel_outputs(
-                &stage.tree,
-                taps,
-                &driver,
-                is_source,
-                vdd,
-                false,
-                in_for_fall.slew,
-            );
-            let rise_out: Vec<EdgeState> = rise_rel
-                .iter()
-                .map(|t| EdgeState {
-                    arrival: in_for_rise.arrival + t.delay,
-                    slew: t.slew,
-                })
-                .collect();
-            let fall_out: Vec<EdgeState> = fall_rel
-                .iter()
-                .map(|t| EdgeState {
-                    arrival: in_for_fall.arrival + t.delay,
-                    slew: t.slew,
-                })
-                .collect();
-
-            let mut sink_latest: Vec<(usize, TransitionTiming, TransitionTiming)> = Vec::new();
-            for (tap_idx, tap) in stage.taps.iter().enumerate() {
-                let r = rise_out[tap_idx];
-                let f = fall_out[tap_idx];
-                max_slew = max_slew.max(r.slew).max(f.slew);
-                match tap.kind {
-                    TapKind::Sink(id) => {
-                        sink_latest.push((
-                            id,
-                            TransitionTiming {
-                                latency: r.arrival,
-                                slew: r.slew,
+                for (k, tap) in stage.taps.iter().enumerate() {
+                    let r = EdgeState {
+                        arrival: in_rise.arrival + rise[k].delay,
+                        slew: rise[k].slew,
+                    };
+                    let f = EdgeState {
+                        arrival: in_fall.arrival + fall[k].delay,
+                        slew: fall[k].slew,
+                    };
+                    max_slew[c] = max_slew[c].max(r.slew).max(f.slew);
+                    match tap.kind {
+                        TapKind::Sink(id) => visit(
+                            c,
+                            SinkTiming {
+                                sink_id: id,
+                                rise: TransitionTiming {
+                                    latency: r.arrival,
+                                    slew: r.slew,
+                                },
+                                fall: TransitionTiming {
+                                    latency: f.arrival,
+                                    slew: f.slew,
+                                },
                             },
-                            TransitionTiming {
-                                latency: f.arrival,
-                                slew: f.slew,
-                            },
-                        ));
-                    }
-                    TapKind::Stage(child) => {
-                        inputs[child] = Some(NodeState { rise: r, fall: f });
+                        ),
+                        TapKind::Stage(child) => inputs[child][c] = NodeState { rise: r, fall: f },
                     }
                 }
             }
-            for (id, rise, fall) in sink_latest {
-                sinks.push(SinkTiming {
-                    sink_id: id,
-                    rise,
-                    fall,
-                });
-            }
         }
-
-        sinks.sort_by_key(|s| s.sink_id);
-        CornerReport {
-            vdd,
-            sinks,
-            max_slew,
-        }
+        max_slew
     }
 
     /// Computes, for the given tap nodes of a stage's RC tree, the delay and
     /// slew of the requested output transition relative to the causing input
     /// edge's arrival.
     ///
-    /// This is the single stage-solving primitive shared by the full
-    /// evaluation above and by [`crate::incremental::IncrementalEvaluator`]'s
-    /// cached path, which guarantees the two produce bit-identical timing
-    /// for identical inputs.
+    /// This is the stage-solving primitive of
+    /// [`crate::incremental::IncrementalEvaluator`]'s cached path. It runs
+    /// the kernel [`Evaluator::walk`] runs, which guarantees the two produce
+    /// bit-identical timing for identical inputs.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn stage_rel_outputs(
         &self,
-        tree: &crate::RcTree,
+        tree: &RcTree,
         taps: impl Iterator<Item = usize>,
         driver: &DriverSpec,
         is_source: bool,
@@ -258,45 +416,102 @@ impl Evaluator {
         output_rising: bool,
         input_slew: f64,
     ) -> Vec<RelTiming> {
+        let mut loaded = StageScratch::default();
+        loaded.load(self.options.model, tree, StageScale::UNIT);
+        let derate = if is_source {
+            1.0
+        } else {
+            self.tech.derate(vdd)
+        };
+        let mut out = Vec::new();
+        self.solve_transition(
+            tree,
+            &mut loaded,
+            taps,
+            driver,
+            is_source,
+            vdd,
+            derate,
+            output_rising,
+            input_slew,
+            &mut out,
+        );
+        out
+    }
+
+    /// Solves one output transition of `tree`, which `loaded` holds under
+    /// its scale, into `out` (one entry per tap). `driver` is the (scaled)
+    /// driver and `derate` its supply derate at `vdd`, unused for the
+    /// clock source.
+    #[allow(clippy::too_many_arguments)]
+    fn solve_transition(
+        &self,
+        tree: &RcTree,
+        loaded: &mut StageScratch,
+        taps: impl Iterator<Item = usize>,
+        driver: &DriverSpec,
+        is_source: bool,
+        vdd: f64,
+        derate: f64,
+        output_rising: bool,
+        input_slew: f64,
+        out: &mut Vec<RelTiming>,
+    ) {
         // The clock source sits off-chip: it does not derate with the
         // on-chip supply and has no rise/fall asymmetry.
         let (res, intrinsic) = if is_source {
             (driver.output_res, 0.0)
         } else {
             (
-                driver.corner_res(&self.tech, vdd, output_rising),
-                driver.corner_intrinsic(&self.tech, vdd),
+                driver.derated_res(derate, output_rising),
+                driver.intrinsic_delay * derate,
             )
         };
-        let gate_delay = intrinsic + crate::driver::SLEW_DELAY_SENSITIVITY * input_slew;
+        let scale = loaded.scale;
+        out.clear();
 
         match self.options.model {
             DelayModel::Elmore | DelayModel::TwoPole => {
                 let two_pole = self.options.model == DelayModel::TwoPole;
-                let (m1, m2) = tree.moments_from(res);
-                taps.map(|node| {
+                tree.elmore_into(res, &loaded.down, &loaded.rd, &mut loaded.m1);
+                if two_pole {
+                    tree.second_moments_into(
+                        res,
+                        scale.res,
+                        scale.cap,
+                        &loaded.m1,
+                        &mut loaded.weighted,
+                        &mut loaded.m2,
+                    );
+                }
+                out.extend(taps.map(|node| {
+                    // Elmore never reads the second moment.
+                    let m2 = if two_pole { loaded.m2[node] } else { 0.0 };
                     let t =
-                        analytic_tap_timing(m1[node], m2[node], intrinsic, input_slew, two_pole);
+                        analytic_tap_timing(loaded.m1[node], m2, intrinsic, input_slew, two_pole);
                     RelTiming {
                         delay: t.delay,
                         slew: t.slew,
                     }
-                })
-                .collect()
+                }));
             }
             DelayModel::Transient => {
+                let tree = if scale.keeps_tree() {
+                    tree
+                } else {
+                    &loaded.scaled
+                };
+                let gate_delay = intrinsic + crate::driver::SLEW_DELAY_SENSITIVITY * input_slew;
                 // The gate output ramp steepens with a stronger driver and
                 // degrades with a slow input edge.
                 let intrinsic_ramp =
                     2.0 * contango_tech::units::rc_ps(res, driver.output_cap.max(1.0));
                 let ramp = (intrinsic_ramp + 0.4 * input_slew).max(2.0);
-                let solver = TransientSolver::new(tree, res, vdd, ramp);
-                let result = solver.solve();
-                taps.map(|node| RelTiming {
+                let result = TransientSolver::new(tree, res, vdd, ramp).solve();
+                out.extend(taps.map(|node| RelTiming {
                     delay: gate_delay + result.delay50[node],
                     slew: result.slew[node],
-                })
-                .collect()
+                }));
             }
         }
     }

@@ -24,8 +24,8 @@
 //! `contango_core::construct` (see `docs/architecture.md` at the
 //! repository root).
 //!
-//! Because cached solves are produced by the same
-//! `Evaluator::stage_rel_outputs` primitive the full evaluation uses, an
+//! Because cached solves are produced by `Evaluator::stage_rel_outputs`,
+//! which runs the stage kernel of the full evaluation's walk, an
 //! incremental report is bit-identical to a full re-evaluation of the same
 //! tree — a property the workspace enforces with equivalence tests rather
 //! than trusting the cache keys.
@@ -200,8 +200,74 @@ struct SolveKey {
 struct CachedStage {
     stage: LoweredStage,
     total_cap: f64,
-    solves: HashMap<SolveKey, Vec<RelTiming>>,
+    solves: StageSolves,
     last_used: u64,
+}
+
+impl CachedStage {
+    /// A stage entering the cache with no solves yet. Its lowering is
+    /// trimmed to size first: cached stages outlive the evaluation that
+    /// lowered them by up to [`KEEP_GENERATIONS`] evaluations.
+    fn new(mut stage: LoweredStage, last_used: u64) -> Self {
+        stage.tree.shrink_to_fit();
+        stage.taps.shrink_to_fit();
+        Self {
+            total_cap: stage.tree.total_cap(),
+            stage,
+            solves: StageSolves::default(),
+            last_used,
+        }
+    }
+}
+
+/// Every cached transition solve of one stage, stored flat: the keys in
+/// insertion order and, back to back, each key's per-tap timings. That is
+/// two allocations per stage instead of a hash table plus one vector per
+/// solve. A stage holds at most [`MAX_SOLVES_PER_STAGE`] keys, so a lookup
+/// is a short linear scan.
+#[derive(Debug, Clone, Default)]
+struct StageSolves {
+    keys: Vec<SolveKey>,
+    timings: Vec<RelTiming>,
+}
+
+impl StageSolves {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn find(&self, key: &SolveKey) -> Option<usize> {
+        self.keys.iter().position(|k| k == key)
+    }
+
+    /// The per-tap timings of the `index`-th key of a stage with `taps`
+    /// taps.
+    fn get(&self, index: usize, taps: usize) -> &[RelTiming] {
+        &self.timings[index * taps..(index + 1) * taps]
+    }
+
+    /// Appends a solve and returns its index.
+    fn push(&mut self, key: SolveKey, timings: &[RelTiming]) -> usize {
+        grow_by_half(&mut self.keys, 1);
+        grow_by_half(&mut self.timings, timings.len());
+        self.keys.push(key);
+        self.timings.extend_from_slice(timings);
+        self.keys.len() - 1
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.timings.clear();
+    }
+}
+
+/// Makes room for `additional` more elements, growing by at least half the
+/// current length: a tighter fit than `Vec`'s doubling for the many small,
+/// long-lived solve lists.
+fn grow_by_half<T>(v: &mut Vec<T>, additional: usize) {
+    if v.capacity() - v.len() < additional {
+        v.reserve_exact(additional.max(v.len() / 2));
+    }
 }
 
 /// Cache statistics of an [`IncrementalEvaluator`], for tests, logging and
@@ -349,7 +415,9 @@ impl JobProfile {
 #[derive(Debug)]
 pub struct IncrementalEvaluator {
     inner: Evaluator,
-    cache: RefCell<HashMap<StageSig, CachedStage>>,
+    /// Boxed, so the table's spare slots cost a pointer each rather than a
+    /// whole entry.
+    cache: RefCell<HashMap<StageSig, Box<CachedStage>>>,
     generation: Cell<u64>,
     stats: Cell<CacheStats>,
     store: RefCell<Option<StoreBinding>>,
@@ -431,11 +499,12 @@ impl IncrementalEvaluator {
 
     /// Draws seeded Monte-Carlo variation samples of `netlist` through this
     /// evaluator's technology and delay model (see
-    /// [`crate::variation::monte_carlo_samples`]). Sample evaluations run in
-    /// per-sample throwaway evaluators (each sample shifts the supply, so
-    /// none can reuse this evaluator's caches) and do not touch the shared
-    /// "SPICE run" counter — Table-V-style run counts stay comparable
-    /// between variation-aware and nominal-only campaigns.
+    /// [`crate::variation::monte_carlo_samples`]). The samples stream
+    /// through the full evaluator's scaled stage walk in one reused
+    /// scratch; every sample scales every stage and shifts the supply, so
+    /// none can use this evaluator's stage or solve caches. They do not
+    /// touch the shared "SPICE run" counter — Table-V-style run counts stay
+    /// comparable between variation-aware and nominal-only campaigns.
     pub fn variation_samples(
         &self,
         netlist: &crate::Netlist,
@@ -489,22 +558,14 @@ impl IncrementalEvaluator {
         let Some(stage) = decode_stage(&payload) else {
             return false;
         };
-        let total_cap = stage.tree.total_cap();
         let mut stats = self.stats.get();
         stats.stage_disk_hits += 1;
         self.stats.set(stats);
-        self.cache.borrow_mut().insert(
-            sig,
-            CachedStage {
-                stage,
-                total_cap,
-                solves: HashMap::new(),
-                // Not yet used by an evaluation; pin it to the upcoming
-                // generation so it cannot age out before the evaluation
-                // that asked for it runs.
-                last_used: self.generation.get() + 1,
-            },
-        );
+        // Not yet used by an evaluation; pin it to the upcoming generation
+        // so it cannot age out before the evaluation that asked for it
+        // runs.
+        let entry = Box::new(CachedStage::new(stage, self.generation.get() + 1));
+        self.cache.borrow_mut().insert(sig, entry);
         true
     }
 
@@ -583,14 +644,7 @@ impl IncrementalEvaluator {
                             .store
                             .put(stage_store_key(slot.sig), &encode_stage(&stage));
                     }
-                    let stage_cap = stage.tree.total_cap();
-                    total_cap += stage_cap;
-                    v.insert(CachedStage {
-                        stage,
-                        total_cap: stage_cap,
-                        solves: HashMap::new(),
-                        last_used: gen,
-                    });
+                    total_cap += v.insert(Box::new(CachedStage::new(stage, gen))).total_cap;
                     stats.stage_misses += 1;
                 }
             }
@@ -626,11 +680,11 @@ impl IncrementalEvaluator {
         }
     }
 
-    /// Evaluates one supply corner over the cached stages, mirroring
-    /// `Evaluator::evaluate_corner` step for step.
+    /// Evaluates one supply corner over the cached stages, mirroring one
+    /// corner of `Evaluator::walk` step for step.
     fn evaluate_corner(
         &self,
-        cache: &mut HashMap<StageSig, CachedStage>,
+        cache: &mut HashMap<StageSig, Box<CachedStage>>,
         stats: &mut CacheStats,
         binding: Option<&StoreBinding>,
         profile: &mut Option<JobProfile>,
@@ -784,31 +838,29 @@ impl IncrementalEvaluator {
         if let Some(p) = profile.as_mut() {
             p.classify_solve(sig, key, binding);
         }
-        // Bound the per-stage solve map before taking an entry; the extra
-        // lookup only runs in the rare at-capacity case.
-        if entry.solves.len() >= MAX_SOLVES_PER_STAGE && !entry.solves.contains_key(&key) {
+        let found = entry.solves.find(&key);
+        // Bound the per-stage solve list before adding to it.
+        if found.is_none() && entry.solves.len() >= MAX_SOLVES_PER_STAGE {
             stats.evictions += entry.solves.len() as u64;
             entry.solves.clear();
         }
-        // Split borrows: the solve entry holds `solves` mutably while the
-        // solver reads the stage.
         let CachedStage { stage, solves, .. } = entry;
-        let rel = match solves.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
+        let index = match found {
+            Some(index) => {
                 stats.solve_hits += 1;
-                e.into_mut()
+                index
             }
-            std::collections::hash_map::Entry::Vacant(v) => {
+            None => {
                 let stored = binding.and_then(|b| {
                     let store_key = solve_store_key(sig, b.fingerprint, key);
                     let (payload, _tier) = b.store.get(store_key)?;
                     decode_solves(&payload, stage.taps.len())
                 });
-                match stored {
+                let rel = match stored {
                     Some(rel) => {
                         stats.solve_hits += 1;
                         stats.solve_disk_hits += 1;
-                        v.insert(rel)
+                        rel
                     }
                     None => {
                         stats.solve_misses += 1;
@@ -826,11 +878,13 @@ impl IncrementalEvaluator {
                             let store_key = solve_store_key(sig, b.fingerprint, key);
                             let _ = b.store.put(store_key, &encode_solves(&rel));
                         }
-                        v.insert(rel)
+                        rel
                     }
-                }
+                };
+                solves.push(key, &rel)
             }
         };
+        let rel = solves.get(index, stage.taps.len());
         rel.iter()
             .map(|t| EdgeState {
                 arrival: input.arrival + t.delay,
@@ -1403,6 +1457,27 @@ mod tests {
         assert_eq!(decode_solves(&encode_solves(&rel), 3), None);
         let bytes = encode_solves(&rel);
         assert_eq!(decode_solves(&bytes[..bytes.len() - 1], 2), None);
+    }
+
+    #[test]
+    fn stage_solves_keep_each_keys_timings_apart() {
+        let key = |slew: f64| SolveKey {
+            vdd: 1.2_f64.to_bits(),
+            rising: true,
+            input_slew: slew.to_bits(),
+        };
+        let rel = |delay: f64| RelTiming { delay, slew: 1.0 };
+        let mut solves = StageSolves::default();
+        assert_eq!(solves.push(key(10.0), &[rel(1.0), rel(2.0)]), 0);
+        assert_eq!(solves.push(key(20.0), &[rel(3.0), rel(4.0)]), 1);
+        assert_eq!(solves.find(&key(20.0)), Some(1));
+        assert_eq!(solves.find(&key(30.0)), None);
+        assert_eq!(solves.get(0, 2), &[rel(1.0), rel(2.0)]);
+        assert_eq!(solves.get(1, 2), &[rel(3.0), rel(4.0)]);
+        solves.clear();
+        assert_eq!(solves.len(), 0);
+        assert_eq!(solves.push(key(20.0), &[rel(5.0), rel(6.0)]), 0);
+        assert_eq!(solves.get(0, 2), &[rel(5.0), rel(6.0)]);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use store::{
 };
 pub use transient::{TransientResult, TransientSolver};
 pub use variation::{
-    monte_carlo, monte_carlo_samples, perturb_netlist, scaled_netlist, scaled_technology,
-    shifted_technology, truncated_normal, MetricDistribution, SampleMetrics, VariationModel,
-    VariationReport, XorShift,
+    corner_metrics, monte_carlo, monte_carlo_samples, perturb_netlist, scaled_netlist,
+    scaled_technology, shifted_technology, truncated_normal, MetricDistribution, SampleMetrics,
+    VariationModel, VariationReport, XorShift,
 };

@@ -105,11 +105,8 @@ impl RcTree {
     /// Capacitance of the subtree rooted at each node (the node's own cap
     /// plus all descendants), in fF.
     pub fn downstream_caps(&self) -> Vec<f64> {
-        let mut down: Vec<f64> = self.nodes.iter().map(|n| n.cap).collect();
-        for i in (1..self.nodes.len()).rev() {
-            let p = self.nodes[i].parent;
-            down[p] += down[i];
-        }
+        let mut down = Vec::new();
+        self.downstream_caps_into(1.0, &mut down);
         down
     }
 
@@ -119,16 +116,10 @@ impl RcTree {
     /// `m1[i] = Σ_k R(path ∩ path_k) · C_k`, the classic Elmore expression,
     /// including the driver resistance which is common to all paths.
     pub fn elmore_from(&self, driver_res: f64) -> Vec<f64> {
-        let down = self.downstream_caps();
-        let mut m1 = vec![0.0; self.nodes.len()];
-        if self.nodes.is_empty() {
-            return m1;
-        }
-        m1[0] = driver_res * down[0] * contango_tech::units::RC_TO_PS;
-        for i in 1..self.nodes.len() {
-            let p = self.nodes[i].parent;
-            m1[i] = m1[p] + self.nodes[i].res * down[i] * contango_tech::units::RC_TO_PS;
-        }
+        let (mut down, mut rd, mut m1) = (Vec::new(), Vec::new(), Vec::new());
+        self.downstream_caps_into(1.0, &mut down);
+        self.wire_delays_into(1.0, &down, &mut rd);
+        self.elmore_into(driver_res, &down, &rd, &mut m1);
         m1
     }
 
@@ -140,23 +131,100 @@ impl RcTree {
     /// bottom-up/top-down sweeps as the Elmore delay.
     pub fn moments_from(&self, driver_res: f64) -> (Vec<f64>, Vec<f64>) {
         let m1 = self.elmore_from(driver_res);
-        let n = self.nodes.len();
-        let mut m2 = vec![0.0; n];
-        if n == 0 {
-            return (m1, m2);
+        let (mut weighted, mut m2) = (Vec::new(), Vec::new());
+        self.second_moments_into(driver_res, 1.0, 1.0, &m1, &mut weighted, &mut m2);
+        (m1, m2)
+    }
+
+    /// [`RcTree::downstream_caps`] of this tree with every node capacitance
+    /// scaled by `cap_factor`, written into `down`.
+    pub(crate) fn downstream_caps_into(&self, cap_factor: f64, down: &mut Vec<f64>) {
+        down.clear();
+        down.extend(self.nodes.iter().map(|n| n.cap * cap_factor));
+        for i in (1..self.nodes.len()).rev() {
+            let p = self.nodes[i].parent;
+            down[p] += down[i];
+        }
+    }
+
+    /// Each node's own wire term of the Elmore sum, `R_i · C_down(i)` in
+    /// ps, with every wire resistance scaled by `res_factor`. It does not
+    /// depend on the driver, so one computation serves every corner and
+    /// transition direction of a stage.
+    pub(crate) fn wire_delays_into(&self, res_factor: f64, down: &[f64], rd: &mut Vec<f64>) {
+        rd.clear();
+        rd.extend(
+            self.nodes
+                .iter()
+                .zip(down)
+                .map(|(n, &d)| n.res * res_factor * d * contango_tech::units::RC_TO_PS),
+        );
+    }
+
+    /// Elmore delays for `driver_res` from the driver-independent sweeps
+    /// [`RcTree::downstream_caps_into`] and [`RcTree::wire_delays_into`].
+    pub(crate) fn elmore_into(&self, driver_res: f64, down: &[f64], rd: &[f64], m1: &mut Vec<f64>) {
+        m1.clear();
+        if self.nodes.is_empty() {
+            return;
+        }
+        m1.push(driver_res * down[0] * contango_tech::units::RC_TO_PS);
+        for (n, &r) in self.nodes.iter().zip(rd).skip(1) {
+            let m = m1[n.parent] + r;
+            m1.push(m);
+        }
+    }
+
+    /// Second delay moments for `driver_res` given the first moments `m1`
+    /// of the same tree, with wire resistances and node capacitances scaled
+    /// by `res_factor` and `cap_factor`. `weighted` is scratch.
+    pub(crate) fn second_moments_into(
+        &self,
+        driver_res: f64,
+        res_factor: f64,
+        cap_factor: f64,
+        m1: &[f64],
+        weighted: &mut Vec<f64>,
+        m2: &mut Vec<f64>,
+    ) {
+        m2.clear();
+        if self.nodes.is_empty() {
+            return;
         }
         // "Capacitance-weighted Elmore" per subtree: Σ_{k ∈ subtree(i)} C_k · m1[k].
-        let mut weighted: Vec<f64> = (0..n).map(|i| self.nodes[i].cap * m1[i]).collect();
-        for i in (1..n).rev() {
+        weighted.clear();
+        weighted.extend(
+            self.nodes
+                .iter()
+                .zip(m1)
+                .map(|(n, &m)| n.cap * cap_factor * m),
+        );
+        for i in (1..self.nodes.len()).rev() {
             let p = self.nodes[i].parent;
             weighted[p] += weighted[i];
         }
-        m2[0] = driver_res * weighted[0] * contango_tech::units::RC_TO_PS;
-        for i in 1..n {
-            let p = self.nodes[i].parent;
-            m2[i] = m2[p] + self.nodes[i].res * weighted[i] * contango_tech::units::RC_TO_PS;
+        m2.push(driver_res * weighted[0] * contango_tech::units::RC_TO_PS);
+        for (n, &w) in self.nodes.iter().zip(weighted.iter()).skip(1) {
+            let m = m2[n.parent] + n.res * res_factor * w * contango_tech::units::RC_TO_PS;
+            m2.push(m);
         }
-        (m1, m2)
+    }
+
+    /// Releases unused node storage.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+    }
+
+    /// This tree with every wire resistance scaled by `res_factor` and every
+    /// node capacitance by `cap_factor`, written into `out` (whose node
+    /// storage is reused).
+    pub(crate) fn scaled_into(&self, res_factor: f64, cap_factor: f64, out: &mut RcTree) {
+        out.nodes.clear();
+        out.nodes.extend(self.nodes.iter().map(|n| RcNode {
+            parent: n.parent,
+            res: n.res * res_factor,
+            cap: n.cap * cap_factor,
+        }));
     }
 
     /// Iterator over `(parent, res, cap)` triples in node order; the root

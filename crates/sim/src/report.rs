@@ -54,55 +54,117 @@ pub struct CornerReport {
 impl CornerReport {
     /// Largest sink latency over both transitions, in ps.
     pub fn max_latency(&self) -> f64 {
-        self.sinks
-            .iter()
-            .map(SinkTiming::max_latency)
-            .fold(f64::NEG_INFINITY, f64::max)
+        LatencyExtremes::of(&self.sinks).max_latency()
     }
 
     /// Smallest sink latency over both transitions, in ps.
     pub fn min_latency(&self) -> f64 {
-        self.sinks
-            .iter()
-            .map(SinkTiming::min_latency)
-            .fold(f64::INFINITY, f64::min)
+        LatencyExtremes::of(&self.sinks).min_latency()
     }
 
     /// Skew of the rising transition (max − min rise latency), in ps.
     pub fn rise_skew(&self) -> f64 {
-        span(self.sinks.iter().map(|s| s.rise.latency))
+        LatencyExtremes::of(&self.sinks).rise_skew()
     }
 
     /// Skew of the falling transition (max − min fall latency), in ps.
     pub fn fall_skew(&self) -> f64 {
-        span(self.sinks.iter().map(|s| s.fall.latency))
+        LatencyExtremes::of(&self.sinks).fall_skew()
     }
 
     /// Skew of this corner: the larger of the rise and fall skews. The two
     /// transitions are kept separate, as in Section III-B of the paper.
     pub fn skew(&self) -> f64 {
-        self.rise_skew().max(self.fall_skew())
+        LatencyExtremes::of(&self.sinks).skew()
     }
 
-    /// Timing of a specific sink, if present.
+    /// Timing of a specific sink, if present. A binary search, relying on
+    /// `sinks` being sorted by sink id as every evaluator produces it.
     pub fn sink(&self, sink_id: usize) -> Option<&SinkTiming> {
-        self.sinks.iter().find(|s| s.sink_id == sink_id)
+        self.sinks
+            .binary_search_by_key(&sink_id, |s| s.sink_id)
+            .ok()
+            .map(|i| &self.sinks[i])
     }
 }
 
-fn span<I: Iterator<Item = f64>>(values: I) -> f64 {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut any = false;
-    for v in values {
-        any = true;
-        min = min.min(v);
-        max = max.max(v);
+/// Running extremes of the sink latencies at one corner: everything the
+/// corner's skew, largest and smallest latency derive from, accumulated
+/// sink by sink so a metrics-only evaluation needs no sink list.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LatencyExtremes {
+    any: bool,
+    rise_min: f64,
+    rise_max: f64,
+    fall_min: f64,
+    fall_max: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Default for LatencyExtremes {
+    fn default() -> Self {
+        Self {
+            any: false,
+            rise_min: f64::INFINITY,
+            rise_max: f64::NEG_INFINITY,
+            fall_min: f64::INFINITY,
+            fall_max: f64::NEG_INFINITY,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
     }
-    if any {
-        max - min
-    } else {
-        0.0
+}
+
+impl LatencyExtremes {
+    pub(crate) fn of(sinks: &[SinkTiming]) -> Self {
+        let mut extremes = Self::default();
+        for sink in sinks {
+            extremes.push(sink);
+        }
+        extremes
+    }
+
+    pub(crate) fn push(&mut self, sink: &SinkTiming) {
+        let (rise, fall) = (sink.rise.latency, sink.fall.latency);
+        self.any = true;
+        self.rise_min = self.rise_min.min(rise);
+        self.rise_max = self.rise_max.max(rise);
+        self.fall_min = self.fall_min.min(fall);
+        self.fall_max = self.fall_max.max(fall);
+        self.min = self.min.min(sink.min_latency());
+        self.max = self.max.max(sink.max_latency());
+    }
+
+    /// Largest latency over both transitions (−∞ without sinks).
+    pub(crate) fn max_latency(&self) -> f64 {
+        self.max
+    }
+
+    /// Smallest latency over both transitions (+∞ without sinks).
+    pub(crate) fn min_latency(&self) -> f64 {
+        self.min
+    }
+
+    fn rise_skew(&self) -> f64 {
+        self.span(self.rise_min, self.rise_max)
+    }
+
+    fn fall_skew(&self) -> f64 {
+        self.span(self.fall_min, self.fall_max)
+    }
+
+    /// The larger of the rise and fall skews (0 without sinks).
+    pub(crate) fn skew(&self) -> f64 {
+        self.rise_skew().max(self.fall_skew())
+    }
+
+    fn span(&self, min: f64, max: f64) -> f64 {
+        if self.any {
+            max - min
+        } else {
+            0.0
+        }
     }
 }
 
@@ -235,5 +297,24 @@ mod tests {
         assert!(c.sink(1).is_some());
         assert!(c.sink(9).is_none());
         assert!((c.sink(1).expect("exists").max_latency() - 106.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sink_lookup_finds_every_id_and_rejects_absent_ones() {
+        // Sparse, sorted ids as an evaluation of a partial netlist yields.
+        let mut c = corner(1.2, &[(100.0, 101.0); 40], 50.0);
+        for (i, s) in c.sinks.iter_mut().enumerate() {
+            s.sink_id = 3 * i + 1;
+            s.rise.latency = i as f64;
+        }
+        for i in 0..40 {
+            let found = c.sink(3 * i + 1).expect("present id");
+            assert_eq!(found.sink_id, 3 * i + 1);
+            assert_eq!(found.rise.latency, i as f64);
+        }
+        for absent in [0, 2, 3, 59, 117, 119, usize::MAX] {
+            assert!(c.sink(absent).is_none(), "id {absent} is not in the report");
+        }
+        assert!(corner(1.2, &[], 0.0).sink(0).is_none());
     }
 }

@@ -8,13 +8,20 @@
 //! drive resistance and the supply voltage are perturbed around their
 //! nominal values and the network is re-evaluated for every sample.
 //!
+//! Samples and discrete corners never build a perturbed netlist: they
+//! stream through [`Evaluator`]'s scaled stage walk, which applies each
+//! stage's factors on the fly in scratch sized by the largest stage and
+//! reduces every sample to its skew, CLR, latency and slew extremes
+//! without a sink list. [`perturb_netlist`] and [`scaled_netlist`] build
+//! the netlists those streams stand for, from the same factor draws.
+//!
 //! The sampler is deterministic (seeded, self-contained xorshift generator)
 //! so experiment tables are reproducible without adding a `rand` dependency
 //! to the simulation crate.
 
-use crate::evaluator::Evaluator;
-use crate::netlist::{Netlist, Stage, StageDriver};
-use crate::RcTree;
+use crate::evaluator::{Evaluator, StageScale, Supply, WalkScratch};
+use crate::netlist::{Netlist, Stage};
+use crate::report::LatencyExtremes;
 use contango_tech::Technology;
 use serde::{Deserialize, Serialize};
 
@@ -144,11 +151,11 @@ impl VariationReport {
     }
 }
 
-/// The metrics of one Monte-Carlo sample: the perturbed network evaluated
-/// at both supply corners, reported individually so campaign-level
-/// reductions (worst case across samples and corners, Pareto frontiers)
-/// can consume the raw per-sample values instead of only the summary
-/// statistics of [`VariationReport`].
+/// The metrics of one scaled evaluation — a Monte-Carlo sample or a
+/// discrete process corner — at both supply corners, reported individually
+/// so campaign-level reductions (worst case across samples and corners,
+/// Pareto frontiers) can consume the raw per-sample values instead of only
+/// the summary statistics of [`VariationReport`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleMetrics {
     /// Nominal-corner skew of the sample, ps.
@@ -165,9 +172,13 @@ pub struct SampleMetrics {
 /// per-sample metrics, in draw order.
 ///
 /// This is the sampling loop [`monte_carlo`] summarizes: identical seeds
-/// produce identical draws (per sample, the netlist perturbation is drawn
-/// first, then the chip-wide supply shift), so the two functions see the
-/// very same sample population.
+/// produce identical draws (per sample, the per-stage factors of
+/// [`perturb_netlist`] are drawn first, then the chip-wide supply shift of
+/// [`shifted_technology`]), so the two functions see the very same sample
+/// population. Each sample's metrics are bit-identical to evaluating that
+/// perturbed netlist with a fresh evaluator over the shifted technology;
+/// the samples stream through one reused O(nodes) scratch instead, and do
+/// not count as "SPICE runs" of `evaluator`.
 ///
 /// # Panics
 ///
@@ -180,22 +191,63 @@ pub fn monte_carlo_samples(
     seed: u64,
 ) -> Vec<SampleMetrics> {
     assert!(samples > 0, "at least one Monte-Carlo sample is required");
+    let tech = evaluator.technology();
     let mut rng = XorShift::new(seed);
-    let mut out = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let perturbed = perturb_netlist(netlist, model, &mut rng);
-        let vdd_shift = truncated_normal(&mut rng) * model.vdd_sigma;
-        let tech = shifted_technology(evaluator.technology(), vdd_shift);
-        let corner_eval = Evaluator::with_model(tech, evaluator.model());
-        let report = corner_eval.evaluate(&perturbed);
-        out.push(SampleMetrics {
-            skew: report.skew(),
-            clr: report.clr(),
-            max_latency: report.max_latency(),
-            slew_violation: report.has_slew_violation(),
-        });
+    let mut scratch = WalkScratch::new(netlist);
+    let mut scales = Vec::with_capacity(netlist.len());
+    (0..samples)
+        .map(|_| {
+            draw_stage_scales(netlist.len(), model, &mut rng, &mut scales);
+            let supply = shifted_supply(tech, truncated_normal(&mut rng) * model.vdd_sigma);
+            scaled_metrics(evaluator, netlist, &mut scratch, |si| scales[si], supply)
+        })
+        .collect()
+}
+
+/// The metrics of `netlist` at a discrete process corner, bit-identical to
+/// evaluating [`scaled_netlist`]`(netlist, res_factor, cap_factor)` with
+/// `evaluator`'s delay model over
+/// [`scaled_technology`]`(evaluator.technology(), vdd_factor)` — without
+/// building either. Does not count as a "SPICE run" of `evaluator`.
+pub fn corner_metrics(
+    evaluator: &Evaluator,
+    netlist: &Netlist,
+    res_factor: f64,
+    cap_factor: f64,
+    vdd_factor: f64,
+) -> SampleMetrics {
+    let scale = corner_scale(res_factor, cap_factor);
+    let supply = scaled_supply(evaluator.technology(), vdd_factor);
+    scaled_metrics(
+        evaluator,
+        netlist,
+        &mut WalkScratch::new(netlist),
+        |_| scale,
+        supply,
+    )
+}
+
+/// One metrics-only walk: the reductions [`crate::EvalReport`]'s `skew`,
+/// `clr`, `max_latency` and `has_slew_violation` make, taken from running
+/// extremes.
+fn scaled_metrics(
+    evaluator: &Evaluator,
+    netlist: &Netlist,
+    scratch: &mut WalkScratch,
+    scale: impl Fn(usize) -> StageScale,
+    supply: Supply,
+) -> SampleMetrics {
+    let mut extremes = [LatencyExtremes::default(); 2];
+    let max_slew = evaluator.walk(netlist, scratch, scale, supply, |corner, timing| {
+        extremes[corner].push(&timing)
+    });
+    let [nominal, low] = extremes;
+    SampleMetrics {
+        skew: nominal.skew(),
+        clr: low.max_latency() - nominal.min_latency(),
+        max_latency: nominal.max_latency(),
+        slew_violation: max_slew[0].max(max_slew[1]) > evaluator.technology().slew_limit + 1e-9,
     }
-    out
 }
 
 /// Runs a Monte-Carlo variation analysis of `netlist`.
@@ -239,44 +291,34 @@ pub fn monte_carlo(
 /// component with a per-stage local draw (weighted by
 /// [`VariationModel::spatial_correlation`]).
 pub fn perturb_netlist(netlist: &Netlist, model: &VariationModel, rng: &mut XorShift) -> Netlist {
-    // Chip-wide systematic components shared by every stage of this sample.
+    let mut scales = Vec::with_capacity(netlist.len());
+    draw_stage_scales(netlist.len(), model, rng, &mut scales);
+    rescaled_netlist(netlist, |si| scales[si])
+}
+
+/// Draws one sample's per-stage factors into `scales`, in the sampler's
+/// fixed order: the three chip-wide systematic components (resistance,
+/// capacitance, drive), then per stage in index order a local resistance,
+/// capacitance and drive draw. Every sampler consumes the generator
+/// through this function, so the order exists once.
+fn draw_stage_scales(
+    stages: usize,
+    model: &VariationModel,
+    rng: &mut XorShift,
+    scales: &mut Vec<StageScale>,
+) {
     let sys_res = truncated_normal(rng);
     let sys_cap = truncated_normal(rng);
     let sys_buf = truncated_normal(rng);
     let rho = model.spatial_correlation.clamp(0.0, 1.0);
     let mix = |systematic: f64, local: f64| rho * systematic + (1.0 - rho) * local;
-
-    let stages = netlist
-        .stages
-        .iter()
-        .map(|stage| {
-            let res_factor = factor(mix(sys_res, truncated_normal(rng)), model.wire_res_sigma);
-            let cap_factor = factor(mix(sys_cap, truncated_normal(rng)), model.wire_cap_sigma);
-            let buf_factor = factor(mix(sys_buf, truncated_normal(rng)), model.buffer_res_sigma);
-
-            let mut tree = RcTree::new();
-            for (idx, (parent, res, cap)) in stage.tree.iter().enumerate() {
-                if idx == 0 {
-                    tree.add_root(cap * cap_factor);
-                } else {
-                    tree.add_node(parent, res * res_factor, cap * cap_factor);
-                }
-            }
-            let driver = match stage.driver {
-                StageDriver::Source(s) => StageDriver::Source(s),
-                StageDriver::Buffer(mut d) => {
-                    d.output_res *= buf_factor;
-                    StageDriver::Buffer(d)
-                }
-            };
-            Stage {
-                driver,
-                tree,
-                taps: stage.taps.clone(),
-            }
-        })
-        .collect();
-    Netlist::new(stages, netlist.root).expect("perturbation preserves netlist structure")
+    scales.clear();
+    for _ in 0..stages {
+        let res = factor(mix(sys_res, truncated_normal(rng)), model.wire_res_sigma);
+        let cap = factor(mix(sys_cap, truncated_normal(rng)), model.wire_cap_sigma);
+        let drive = factor(mix(sys_buf, truncated_normal(rng)), model.buffer_res_sigma);
+        scales.push(StageScale { res, cap, drive });
+    }
 }
 
 /// Converts a standard-normal sample into a multiplicative factor with the
@@ -287,24 +329,47 @@ fn factor(standard_normal: f64, sigma: f64) -> f64 {
 
 /// Clones a technology with both supply corners shifted by `delta_v` volts.
 pub fn shifted_technology(tech: &Technology, delta_v: f64) -> Technology {
-    let mut shifted = tech.clone();
-    shifted.nominal_corner.vdd = (shifted.nominal_corner.vdd + delta_v).max(0.4);
-    shifted.low_corner.vdd = (shifted.low_corner.vdd + delta_v)
-        .max(0.3)
-        .min(shifted.nominal_corner.vdd);
-    shifted
+    with_supply(tech, shifted_supply(tech, delta_v))
 }
 
 /// Clones a technology with both supply corners scaled by `vdd_factor` —
 /// the deterministic (non-sampled) voltage half of a discrete process
 /// corner, complementing the sampled shift of [`shifted_technology`].
 pub fn scaled_technology(tech: &Technology, vdd_factor: f64) -> Technology {
-    let mut scaled = tech.clone();
-    scaled.nominal_corner.vdd = (scaled.nominal_corner.vdd * vdd_factor).max(0.4);
-    scaled.low_corner.vdd = (scaled.low_corner.vdd * vdd_factor)
-        .max(0.3)
-        .min(scaled.nominal_corner.vdd);
-    scaled
+    with_supply(tech, scaled_supply(tech, vdd_factor))
+}
+
+/// The supply corners of [`shifted_technology`].
+fn shifted_supply(tech: &Technology, delta_v: f64) -> Supply {
+    clamped_supply(
+        tech.nominal_corner.vdd + delta_v,
+        tech.low_corner.vdd + delta_v,
+    )
+}
+
+/// The supply corners of [`scaled_technology`].
+fn scaled_supply(tech: &Technology, vdd_factor: f64) -> Supply {
+    clamped_supply(
+        tech.nominal_corner.vdd * vdd_factor,
+        tech.low_corner.vdd * vdd_factor,
+    )
+}
+
+/// Keeps moved supplies physical: the nominal corner at 0.4 V or more, the
+/// low corner at 0.3 V or more and never above the nominal one.
+fn clamped_supply(nominal: f64, low: f64) -> Supply {
+    let nominal = nominal.max(0.4);
+    Supply {
+        nominal,
+        low: low.max(0.3).min(nominal),
+    }
+}
+
+fn with_supply(tech: &Technology, supply: Supply) -> Technology {
+    let mut moved = tech.clone();
+    moved.nominal_corner.vdd = supply.nominal;
+    moved.low_corner.vdd = supply.low;
+    moved
 }
 
 /// Clones `netlist` with every wire resistance and buffer drive resistance
@@ -312,33 +377,36 @@ pub fn scaled_technology(tech: &Technology, vdd_factor: f64) -> Technology {
 /// deterministic interconnect/device half of a discrete process corner
 /// (a slow corner scales both up, a fast corner scales both down).
 pub fn scaled_netlist(netlist: &Netlist, res_factor: f64, cap_factor: f64) -> Netlist {
+    let scale = corner_scale(res_factor, cap_factor);
+    rescaled_netlist(netlist, |_| scale)
+}
+
+/// The stage scale of a discrete corner: device drive resistance follows
+/// the wire resistance factor.
+fn corner_scale(res_factor: f64, cap_factor: f64) -> StageScale {
+    StageScale {
+        res: res_factor,
+        cap: cap_factor,
+        drive: res_factor,
+    }
+}
+
+/// Clones `netlist` with stage `si` scaled by `scale(si)`.
+fn rescaled_netlist(netlist: &Netlist, scale: impl Fn(usize) -> StageScale) -> Netlist {
     let stages = netlist
         .stages
         .iter()
-        .map(|stage| {
-            let mut tree = RcTree::new();
-            for (idx, (parent, res, cap)) in stage.tree.iter().enumerate() {
-                if idx == 0 {
-                    tree.add_root(cap * cap_factor);
-                } else {
-                    tree.add_node(parent, res * res_factor, cap * cap_factor);
-                }
-            }
-            let driver = match stage.driver {
-                StageDriver::Source(s) => StageDriver::Source(s),
-                StageDriver::Buffer(mut d) => {
-                    d.output_res *= res_factor;
-                    StageDriver::Buffer(d)
-                }
-            };
+        .enumerate()
+        .map(|(si, stage)| {
+            let s = scale(si);
             Stage {
-                driver,
-                tree,
+                driver: s.driver(stage.driver),
+                tree: s.tree(&stage.tree),
                 taps: stage.taps.clone(),
             }
         })
         .collect();
-    Netlist::new(stages, netlist.root).expect("corner scaling preserves netlist structure")
+    Netlist::new(stages, netlist.root).expect("scaling preserves netlist structure")
 }
 
 /// A sample from the standard normal distribution truncated at ±3σ.
@@ -389,8 +457,8 @@ impl XorShift {
 mod tests {
     use super::*;
     use crate::driver::{DriverSpec, SourceSpec};
-    use crate::netlist::{Tap, TapKind};
-    use crate::DelayModel;
+    use crate::netlist::{StageDriver, Tap, TapKind};
+    use crate::{DelayModel, RcTree};
 
     /// Source stage fanning out to two buffered stages, each with one sink.
     fn test_netlist() -> Netlist {

@@ -150,11 +150,21 @@ impl Technology {
     /// `(VDD − Vt)^α`, and the delay of a stage scales as
     /// `VDD / (VDD − Vt)^α`.
     pub fn derate(&self, vdd: f64) -> f64 {
+        self.derate_against(vdd, self.nominal_corner.vdd)
+    }
+
+    /// [`Technology::derate`] relative to a nominal supply `nom` instead of
+    /// this technology's own nominal corner: the factor a copy of the
+    /// technology with its nominal corner moved to `nom` would report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vdd` does not exceed the threshold voltage.
+    pub fn derate_against(&self, vdd: f64, nom: f64) -> f64 {
         assert!(
             vdd > self.threshold_voltage,
             "supply voltage must exceed the threshold voltage"
         );
-        let nom = self.nominal_corner.vdd;
         let num = vdd / (vdd - self.threshold_voltage).powf(self.alpha);
         let den = nom / (nom - self.threshold_voltage).powf(self.alpha);
         num / den

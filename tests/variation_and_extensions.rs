@@ -6,9 +6,14 @@ use contango::core::instance::ClockNetInstance;
 use contango::core::lower::to_netlist;
 use contango::geom::Point;
 use contango::sim::variation::{
-    monte_carlo, monte_carlo_samples, perturb_netlist, truncated_normal, VariationModel, XorShift,
+    corner_metrics, monte_carlo, monte_carlo_samples, perturb_netlist, scaled_netlist,
+    scaled_technology, shifted_technology, truncated_normal, SampleMetrics, VariationModel,
+    XorShift,
 };
-use contango::sim::{reduced_order_models, DelayModel, Evaluator};
+use contango::sim::{
+    reduced_order_models, DelayModel, DriverSpec, Evaluator, Netlist, RcTree, SourceSpec, Stage,
+    StageDriver, Tap, TapKind,
+};
 use contango::{ContangoFlow, FlowConfig, FlowResult, Technology};
 
 fn synthesized() -> (ClockNetInstance, FlowResult, Technology) {
@@ -199,6 +204,237 @@ fn spatial_correlation_endpoints_share_or_split_the_factors() {
         factors.iter().any(|f| (f - factors[0]).abs() > 1e-9),
         "rho=0 produced chip-wide factors: {factors:?}"
     );
+}
+
+/// One stage: a trunk wire from the driver, then a two-segment branch to
+/// each load. `salt` varies the wires between stages, so the network has
+/// real skew.
+fn layered_stage(
+    driver: StageDriver,
+    output_cap: f64,
+    loads: &[(TapKind, f64)],
+    salt: f64,
+) -> Stage {
+    let mut tree = RcTree::new();
+    let root = tree.add_root(output_cap);
+    let trunk = tree.add_node(root, 20.0 + salt, 8.0);
+    let taps = loads
+        .iter()
+        .enumerate()
+        .map(|(k, &(kind, load))| {
+            let mid = tree.add_node(trunk, 30.0 + 7.0 * k as f64 + salt, 12.0 + k as f64);
+            let node = tree.add_node(mid, 25.0 + 3.0 * salt, 10.0 + load);
+            Tap { node, kind }
+        })
+        .collect();
+    Stage { driver, tree, taps }
+}
+
+/// Three levels of inverting stages under the source: a trunk inverter,
+/// two mid-level inverters, four leaf inverters with three sinks each.
+/// Sink ids are scrambled across the leaves, so reports must sort them.
+fn layered_netlist() -> Netlist {
+    let tech = Technology::ispd09();
+    let big = DriverSpec::from_composite(&tech.composite(tech.small_inverter(), 8));
+    let small = DriverSpec::from_composite(&tech.composite(tech.small_inverter(), 4));
+    let mut stages = vec![
+        layered_stage(
+            StageDriver::Source(SourceSpec::ispd09()),
+            0.0,
+            &[(TapKind::Stage(1), big.input_cap)],
+            40.0,
+        ),
+        layered_stage(
+            StageDriver::Buffer(big),
+            big.output_cap,
+            &[
+                (TapKind::Stage(2), big.input_cap),
+                (TapKind::Stage(3), big.input_cap),
+            ],
+            15.0,
+        ),
+    ];
+    for m in 0..2 {
+        let leaves = [
+            (TapKind::Stage(4 + 2 * m), small.input_cap),
+            (TapKind::Stage(5 + 2 * m), small.input_cap),
+        ];
+        stages.push(layered_stage(
+            StageDriver::Buffer(big),
+            big.output_cap,
+            &leaves,
+            9.0 * m as f64,
+        ));
+    }
+    for leaf in 0..4 {
+        let sinks: Vec<(TapKind, f64)> = (0..3)
+            .map(|k| {
+                let position = 3 * leaf + k;
+                (
+                    TapKind::Sink((7 * position) % 12),
+                    4.0 + (position % 4) as f64,
+                )
+            })
+            .collect();
+        stages.push(layered_stage(
+            StageDriver::Buffer(small),
+            small.output_cap,
+            &sinks,
+            5.0 * leaf as f64,
+        ));
+    }
+    Netlist::new(stages, 0).expect("valid layered netlist")
+}
+
+/// The bits of every field of a sample, for exact comparison.
+fn bits(m: &SampleMetrics) -> (u64, u64, u64, bool) {
+    (
+        m.skew.to_bits(),
+        m.clr.to_bits(),
+        m.max_latency.to_bits(),
+        m.slew_violation,
+    )
+}
+
+/// The reference the streamed sampler must reproduce: per sample, build
+/// the perturbed netlist, shift the technology's supply, and evaluate with
+/// a fresh evaluator.
+fn reference_samples(
+    evaluator: &Evaluator,
+    netlist: &Netlist,
+    model: &VariationModel,
+    samples: usize,
+    seed: u64,
+) -> Vec<SampleMetrics> {
+    let mut rng = XorShift::new(seed);
+    (0..samples)
+        .map(|_| {
+            let perturbed = perturb_netlist(netlist, model, &mut rng);
+            let shift = truncated_normal(&mut rng) * model.vdd_sigma;
+            let tech = shifted_technology(evaluator.technology(), shift);
+            let report = Evaluator::with_model(tech, evaluator.model()).evaluate(&perturbed);
+            SampleMetrics {
+                skew: report.skew(),
+                clr: report.clr(),
+                max_latency: report.max_latency(),
+                slew_violation: report.has_slew_violation(),
+            }
+        })
+        .collect()
+}
+
+/// Monte-Carlo samples and discrete corners stream through the scaled
+/// stage walk without building perturbed netlists; every delay model must
+/// still report, bit for bit, what evaluating the perturbed or scaled
+/// netlist reports — including the slow-slew samples a wide model draws.
+#[test]
+fn streamed_samples_and_corners_match_the_rebuilt_netlist_reference() {
+    let netlist = layered_netlist();
+    let wide = VariationModel {
+        wire_res_sigma: 0.4,
+        wire_cap_sigma: 0.4,
+        buffer_res_sigma: 0.6,
+        vdd_sigma: 0.1,
+        spatial_correlation: 0.3,
+    };
+    for (model, samples) in [
+        (DelayModel::Elmore, 64),
+        (DelayModel::TwoPole, 64),
+        (DelayModel::Transient, 4),
+    ] {
+        let evaluator = Evaluator::with_model(Technology::ispd09(), model);
+        for variation in [VariationModel::typical_45nm(), wide] {
+            let streamed = monte_carlo_samples(&evaluator, &netlist, &variation, samples, 77);
+            let reference = reference_samples(&evaluator, &netlist, &variation, samples, 77);
+            for (i, (s, r)) in streamed.iter().zip(&reference).enumerate() {
+                assert_eq!(bits(s), bits(r), "{model:?} sample {i}: {s:?} vs {r:?}");
+            }
+            if variation == wide && model.is_analytic() {
+                assert!(
+                    streamed.iter().any(|s| s.slew_violation),
+                    "{model:?}: the wide model should draw slew-violating samples"
+                );
+            }
+        }
+        assert_eq!(evaluator.runs(), 0, "samples are not SPICE runs");
+
+        for (res_f, cap_f, vdd_f) in [
+            (1.0, 1.0, 1.0),
+            (1.08, 1.08, 0.95),
+            (0.92, 0.92, 1.05),
+            (1.0, 1.0, 0.85),
+        ] {
+            let streamed = corner_metrics(&evaluator, &netlist, res_f, cap_f, vdd_f);
+            let report =
+                Evaluator::with_model(scaled_technology(evaluator.technology(), vdd_f), model)
+                    .evaluate(&scaled_netlist(&netlist, res_f, cap_f));
+            let reference = SampleMetrics {
+                skew: report.skew(),
+                clr: report.clr(),
+                max_latency: report.max_latency(),
+                slew_violation: report.has_slew_violation(),
+            };
+            assert_eq!(
+                bits(&streamed),
+                bits(&reference),
+                "{model:?} corner {vdd_f}"
+            );
+        }
+    }
+}
+
+/// The skew and CLR bits of the first samples of one seed, and of the
+/// nominal evaluation, pinned for every delay model. They were recorded
+/// from the per-sample rebuild the streamed walk replaced; a change here
+/// means every recorded variation result changes meaning.
+#[test]
+fn layered_netlist_sample_bits_are_pinned() {
+    let netlist = layered_netlist();
+    let pinned: [(DelayModel, [(u64, u64); 4]); 3] = [
+        (
+            DelayModel::Elmore,
+            [
+                (0x401426ec7798f120, 0x402b9994baf7fe00),
+                (0x40114bdfe82f9000, 0x402930deb3038a48),
+                (0x40130805965bc2c0, 0x402a54049a0579d8),
+                (0x4010ffe622340540, 0x4029927a0ac21200),
+            ],
+        ),
+        (
+            DelayModel::TwoPole,
+            [
+                (0x4013a41884718770, 0x402b4622054194f8),
+                (0x4010cc8e9ef04320, 0x4028df4b48149660),
+                (0x40128ec3c5640e40, 0x402a05d1581cadd0),
+                (0x40109842b3aa4990, 0x40294c5cc92b82b8),
+            ],
+        ),
+        (
+            DelayModel::Transient,
+            [
+                (0x4016530933376500, 0x402d772efe9f44b8),
+                (0x401366627a418b50, 0x402afc0a6ed74030),
+                (0x401541d8f3f3e8b0, 0x402c3029d2743fe0),
+                (0x4012c48d758a73e0, 0x402b37a4a51cc158),
+            ],
+        ),
+    ];
+    for (model, expected) in pinned {
+        let evaluator = Evaluator::with_model(Technology::ispd09(), model);
+        let nominal = evaluator.evaluate(&netlist);
+        let samples = monte_carlo_samples(
+            &evaluator,
+            &netlist,
+            &VariationModel::typical_45nm(),
+            3,
+            2024,
+        );
+        let observed: Vec<(u64, u64)> = std::iter::once((nominal.skew(), nominal.clr()))
+            .chain(samples.iter().map(|s| (s.skew, s.clr)))
+            .map(|(skew, clr)| (skew.to_bits(), clr.to_bits()))
+            .collect();
+        assert_eq!(observed, expected, "{model:?}");
+    }
 }
 
 #[test]
