@@ -7,9 +7,11 @@
 //! skew, Clock Latency Range and slew violations are derived.
 //!
 //! Every full evaluation runs through one stage walk, [`Evaluator::walk`]:
-//! it visits the stages once in topological order, solves both supply
-//! corners at each stage, and can scale each stage's wire resistance, node
-//! capacitance and drive resistance by a [`StageScale`] on the fly.
+//! it visits the stages once in topological order, solves both transitions
+//! at both supply corners of each stage in one call (one lane-interleaved
+//! kernel call under the transient model), and can scale each stage's wire
+//! resistance, node capacitance and drive resistance by a [`StageScale`] on
+//! the fly.
 //! [`Evaluator::evaluate`] is the unit-scale case; Monte-Carlo samples and
 //! process corners ([`crate::variation`]) re-evaluate a finished netlist
 //! under other scales and supplies without building a perturbed copy of it.
@@ -20,7 +22,7 @@ use crate::driver::DriverSpec;
 use crate::models::{analytic_tap_timing, DelayModel};
 use crate::netlist::{Netlist, StageDriver, TapKind};
 use crate::report::{CornerReport, EvalReport, SinkTiming, TransitionTiming};
-use crate::transient::TransientSolver;
+use crate::transient::{Lane, TransientKernel, MAX_LANES};
 use crate::RcTree;
 use contango_tech::Technology;
 use serde::{Deserialize, Serialize};
@@ -141,6 +143,18 @@ impl Supply {
     }
 }
 
+/// One output transition of a stage to solve: the corner's supply and
+/// derate, the direction, and the slew of the causing input edge.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Transition {
+    pub(crate) vdd: f64,
+    /// Supply derate of the stage's buffer at `vdd` (unused for the clock
+    /// source).
+    pub(crate) derate: f64,
+    pub(crate) rising: bool,
+    pub(crate) input_slew: f64,
+}
+
 /// Reusable scratch of [`Evaluator::walk`] over one netlist. Its size is
 /// bounded by the stage count plus the largest stage's node count, however
 /// many walks reuse it.
@@ -152,8 +166,8 @@ pub(crate) struct WalkScratch {
     /// stage before the topological order reaches the child.
     inputs: Vec<[NodeState; 2]>,
     stage: StageScratch,
-    rise: Vec<RelTiming>,
-    fall: Vec<RelTiming>,
+    /// The stage's tap timings, transition by transition.
+    timings: Vec<RelTiming>,
 }
 
 impl WalkScratch {
@@ -162,17 +176,17 @@ impl WalkScratch {
             order: netlist.topological_order(),
             inputs: vec![[NodeState::default(); 2]; netlist.len()],
             stage: StageScratch::default(),
-            rise: Vec::new(),
-            fall: Vec::new(),
+            timings: Vec::new(),
         }
     }
 }
 
 /// One stage loaded under its scale, ready for any number of transition
 /// solves: the driver-independent sweeps for the analytic models, a scaled
-/// copy of the tree for the transient model (unless the scale keeps it).
+/// copy of the tree for the transient model (unless the scale keeps it),
+/// and the solvers' scratch.
 #[derive(Debug, Default)]
-struct StageScratch {
+pub(crate) struct StageScratch {
     scale: StageScale,
     down: Vec<f64>,
     rd: Vec<f64>,
@@ -180,6 +194,7 @@ struct StageScratch {
     m2: Vec<f64>,
     weighted: Vec<f64>,
     scaled: RcTree,
+    kernel: TransientKernel,
 }
 
 impl StageScratch {
@@ -291,8 +306,8 @@ impl Evaluator {
     ///
     /// Each stage is loaded once for both corners: its downstream
     /// capacitances and wire terms (analytic models) or its scaled tree copy
-    /// (transient) go into `scratch`, so the walk allocates nothing beyond
-    /// what the transient solver itself needs.
+    /// (transient) go into `scratch`, and its four transitions are solved
+    /// in one call, so the walk allocates nothing once `scratch` is warm.
     pub(crate) fn walk(
         &self,
         netlist: &Netlist,
@@ -310,8 +325,7 @@ impl Evaluator {
             order,
             inputs,
             stage: loaded,
-            rise,
-            fall,
+            timings,
         } = scratch;
         let source = EdgeState {
             arrival: 0.0,
@@ -326,10 +340,13 @@ impl Evaluator {
             let stage = &netlist.stages[si];
             let stage_scale = scale(si);
             let driver = stage_scale.driver(stage.driver);
-            let spec = driver.spec();
             let is_source = driver.is_source();
             loaded.load(self.options.model, &stage.tree, stage_scale);
 
+            // Transition 2c is corner c's rising output, 2c + 1 its falling
+            // one.
+            let mut edges = [EdgeState::default(); 4];
+            let mut transitions = [Transition::default(); 4];
             for c in 0..2 {
                 let input = inputs[si][c];
                 // Output rising edge is caused by the input falling edge for
@@ -346,31 +363,38 @@ impl Evaluator {
                     *derate[c]
                         .get_or_insert_with(|| self.tech.derate_against(vdd[c], supply.nominal))
                 };
-                let taps = stage.taps.iter().map(|t| t.node);
-                for (out, edge, rising) in
-                    [(&mut *rise, in_rise, true), (&mut *fall, in_fall, false)]
-                {
-                    self.solve_transition(
-                        &stage.tree,
-                        loaded,
-                        taps.clone(),
-                        &spec,
-                        is_source,
-                        vdd[c],
-                        derate_c,
+                for (k, edge, rising) in [(2 * c, in_rise, true), (2 * c + 1, in_fall, false)] {
+                    edges[k] = edge;
+                    transitions[k] = Transition {
+                        vdd: vdd[c],
+                        derate: derate_c,
                         rising,
-                        edge.slew,
-                        out,
-                    );
+                        input_slew: edge.slew,
+                    };
                 }
+            }
+            let taps = stage.taps.iter().map(|t| t.node);
+            self.solve_transitions(
+                &stage.tree,
+                loaded,
+                taps,
+                &driver.spec(),
+                is_source,
+                &transitions,
+                timings,
+            );
 
+            let n_taps = stage.taps.len();
+            for c in 0..2 {
+                let rise = &timings[2 * c * n_taps..];
+                let fall = &timings[(2 * c + 1) * n_taps..];
                 for (k, tap) in stage.taps.iter().enumerate() {
                     let r = EdgeState {
-                        arrival: in_rise.arrival + rise[k].delay,
+                        arrival: edges[2 * c].arrival + rise[k].delay,
                         slew: rise[k].slew,
                     };
                     let f = EdgeState {
-                        arrival: in_fall.arrival + fall[k].delay,
+                        arrival: edges[2 * c + 1].arrival + fall[k].delay,
                         slew: fall[k].slew,
                     };
                     max_slew[c] = max_slew[c].max(r.slew).max(f.slew);
@@ -397,75 +421,51 @@ impl Evaluator {
         max_slew
     }
 
-    /// Computes, for the given tap nodes of a stage's RC tree, the delay and
-    /// slew of the requested output transition relative to the causing input
-    /// edge's arrival.
-    ///
-    /// This is the stage-solving primitive of
-    /// [`crate::incremental::IncrementalEvaluator`]'s cached path. It runs
-    /// the kernel [`Evaluator::walk`] runs, which guarantees the two produce
-    /// bit-identical timing for identical inputs.
+    /// Solves `transitions` of an unscaled stage — the stage-solving
+    /// primitive of [`crate::incremental::IncrementalEvaluator`]'s cached
+    /// path. It runs the kernel [`Evaluator::walk`] runs, which guarantees
+    /// the two produce bit-identical timing for identical inputs. `out`
+    /// receives one entry per tap, transition by transition.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn stage_rel_outputs(
+    pub(crate) fn solve_stage(
         &self,
         tree: &RcTree,
-        taps: impl Iterator<Item = usize>,
+        scratch: &mut StageScratch,
+        taps: impl Iterator<Item = usize> + Clone,
         driver: &DriverSpec,
         is_source: bool,
-        vdd: f64,
-        output_rising: bool,
-        input_slew: f64,
-    ) -> Vec<RelTiming> {
-        let mut loaded = StageScratch::default();
-        loaded.load(self.options.model, tree, StageScale::UNIT);
-        let derate = if is_source {
-            1.0
-        } else {
-            self.tech.derate(vdd)
-        };
-        let mut out = Vec::new();
-        self.solve_transition(
-            tree,
-            &mut loaded,
-            taps,
-            driver,
-            is_source,
-            vdd,
-            derate,
-            output_rising,
-            input_slew,
-            &mut out,
-        );
-        out
+        transitions: &[Transition],
+        out: &mut Vec<RelTiming>,
+    ) {
+        scratch.load(self.options.model, tree, StageScale::UNIT);
+        self.solve_transitions(tree, scratch, taps, driver, is_source, transitions, out);
     }
 
-    /// Solves one output transition of `tree`, which `loaded` holds under
-    /// its scale, into `out` (one entry per tap). `driver` is the (scaled)
-    /// driver and `derate` its supply derate at `vdd`, unused for the
-    /// clock source.
+    /// Solves `transitions` (at most [`MAX_LANES`]) of `tree`, which
+    /// `loaded` holds under its scale, into `out`: one entry per tap,
+    /// transition by transition. `driver` is the (scaled) driver.
     #[allow(clippy::too_many_arguments)]
-    fn solve_transition(
+    fn solve_transitions(
         &self,
         tree: &RcTree,
         loaded: &mut StageScratch,
-        taps: impl Iterator<Item = usize>,
+        taps: impl Iterator<Item = usize> + Clone,
         driver: &DriverSpec,
         is_source: bool,
-        vdd: f64,
-        derate: f64,
-        output_rising: bool,
-        input_slew: f64,
+        transitions: &[Transition],
         out: &mut Vec<RelTiming>,
     ) {
         // The clock source sits off-chip: it does not derate with the
         // on-chip supply and has no rise/fall asymmetry.
-        let (res, intrinsic) = if is_source {
-            (driver.output_res, 0.0)
-        } else {
-            (
-                driver.derated_res(derate, output_rising),
-                driver.intrinsic_delay * derate,
-            )
+        let drive = |t: &Transition| {
+            if is_source {
+                (driver.output_res, 0.0)
+            } else {
+                (
+                    driver.derated_res(t.derate, t.rising),
+                    driver.intrinsic_delay * t.derate,
+                )
+            }
         };
         let scale = loaded.scale;
         out.clear();
@@ -473,27 +473,35 @@ impl Evaluator {
         match self.options.model {
             DelayModel::Elmore | DelayModel::TwoPole => {
                 let two_pole = self.options.model == DelayModel::TwoPole;
-                tree.elmore_into(res, &loaded.down, &loaded.rd, &mut loaded.m1);
-                if two_pole {
-                    tree.second_moments_into(
-                        res,
-                        scale.res,
-                        scale.cap,
-                        &loaded.m1,
-                        &mut loaded.weighted,
-                        &mut loaded.m2,
-                    );
-                }
-                out.extend(taps.map(|node| {
-                    // Elmore never reads the second moment.
-                    let m2 = if two_pole { loaded.m2[node] } else { 0.0 };
-                    let t =
-                        analytic_tap_timing(loaded.m1[node], m2, intrinsic, input_slew, two_pole);
-                    RelTiming {
-                        delay: t.delay,
-                        slew: t.slew,
+                for t in transitions {
+                    let (res, intrinsic) = drive(t);
+                    tree.elmore_into(res, &loaded.down, &loaded.rd, &mut loaded.m1);
+                    if two_pole {
+                        tree.second_moments_into(
+                            res,
+                            scale.res,
+                            scale.cap,
+                            &loaded.m1,
+                            &mut loaded.weighted,
+                            &mut loaded.m2,
+                        );
                     }
-                }));
+                    out.extend(taps.clone().map(|node| {
+                        // Elmore never reads the second moment.
+                        let m2 = if two_pole { loaded.m2[node] } else { 0.0 };
+                        let timing = analytic_tap_timing(
+                            loaded.m1[node],
+                            m2,
+                            intrinsic,
+                            t.input_slew,
+                            two_pole,
+                        );
+                        RelTiming {
+                            delay: timing.delay,
+                            slew: timing.slew,
+                        }
+                    }));
+                }
             }
             DelayModel::Transient => {
                 let tree = if scale.keeps_tree() {
@@ -501,17 +509,30 @@ impl Evaluator {
                 } else {
                     &loaded.scaled
                 };
-                let gate_delay = intrinsic + crate::driver::SLEW_DELAY_SENSITIVITY * input_slew;
-                // The gate output ramp steepens with a stronger driver and
-                // degrades with a slow input edge.
-                let intrinsic_ramp =
-                    2.0 * contango_tech::units::rc_ps(res, driver.output_cap.max(1.0));
-                let ramp = (intrinsic_ramp + 0.4 * input_slew).max(2.0);
-                let result = TransientSolver::new(tree, res, vdd, ramp).solve();
-                out.extend(taps.map(|node| RelTiming {
-                    delay: gate_delay + result.delay50[node],
-                    slew: result.slew[node],
-                }));
+                let mut lanes = [Lane::default(); MAX_LANES];
+                for (lane, t) in lanes.iter_mut().zip(transitions) {
+                    let (res, _) = drive(t);
+                    // The gate output ramp steepens with a stronger driver
+                    // and degrades with a slow input edge.
+                    let intrinsic_ramp =
+                        2.0 * contango_tech::units::rc_ps(res, driver.output_cap.max(1.0));
+                    *lane = Lane {
+                        driver_res: res,
+                        vdd: t.vdd,
+                        ramp: (intrinsic_ramp + 0.4 * t.input_slew).max(2.0),
+                    };
+                }
+                let kernel = &mut loaded.kernel;
+                kernel.solve(tree, &lanes[..transitions.len()]);
+                for (l, t) in transitions.iter().enumerate() {
+                    let (_, intrinsic) = drive(t);
+                    let gate_delay =
+                        intrinsic + crate::driver::SLEW_DELAY_SENSITIVITY * t.input_slew;
+                    out.extend(taps.clone().map(|node| RelTiming {
+                        delay: gate_delay + kernel.delay50(l, node),
+                        slew: kernel.slew(l, node),
+                    }));
+                }
             }
         }
     }

@@ -17,14 +17,18 @@
 //!   slew)`. A stage is re-solved only when it is new **or** an upstream
 //!   change altered the slew arriving at its driver — exactly the downstream
 //!   cone of the mutation. Arrival-time shifts alone are propagated by
-//!   addition, without re-solving.
+//!   addition, without re-solving. Each evaluation walks the stages once
+//!   for both corners, and solves all of a stage's misses — up to its four
+//!   transitions — in one lane-interleaved kernel call. Solve keys age out
+//!   individually, [`KEEP_SOLVE_GENERATIONS`] evaluations after their last
+//!   use.
 //!
 //! With evaluation incremental, tree *construction* dominates what is left
 //! of flow runtime; the complementary construction engine lives in
 //! `contango_core::construct` (see `docs/architecture.md` at the
 //! repository root).
 //!
-//! Because cached solves are produced by `Evaluator::stage_rel_outputs`,
+//! Because cached solves are produced by `Evaluator::solve_stage`,
 //! which runs the stage kernel of the full evaluation's walk, an
 //! incremental report is bit-identical to a full re-evaluation of the same
 //! tree — a property the workspace enforces with equivalence tests rather
@@ -34,7 +38,9 @@
 //! evaluate_slots`] call increments the shared run counter by one, cache
 //! hits notwithstanding, so Table-V-style reporting is unchanged.
 
-use crate::evaluator::{EdgeState, EvalOptions, Evaluator, NodeState, RelTiming};
+use crate::evaluator::{
+    EdgeState, EvalOptions, Evaluator, NodeState, RelTiming, StageScratch, Supply, Transition,
+};
 use crate::netlist::StageDriver;
 use crate::report::{CornerReport, EvalReport, SinkTiming, TransitionTiming};
 use crate::store::{ByteReader, ByteWriter, CacheCounters, CacheStore, StoreKey};
@@ -49,13 +55,16 @@ use std::sync::Arc;
 /// keeps rejected-round stages warm while bounding memory.
 const KEEP_GENERATIONS: u64 = 32;
 
-/// Upper bound on cached transition solves per stage. A stage in steady
-/// state sees four keys (two corners × two directions); stages downstream
-/// of a repeatedly mutated region accumulate a new input slew per
-/// evaluation, and without a bound their solve maps would grow for the
-/// flow's lifetime. Clearing a full map costs one redundant solve round for
-/// that stage — negligible at this size.
-const MAX_SOLVES_PER_STAGE: usize = 64;
+/// Cached transition solves unused for this many evaluations are evicted
+/// from stages that stay cached. Electrically identical stages share one
+/// signature, so a stage's solve list holds one key per transition and
+/// distinct input slew across all of its instances — hundreds of keys on a
+/// symmetric tree — and every key the last evaluations used must survive,
+/// or the next evaluation re-solves it. Keys of slews that stop arriving
+/// (the downstream cone of earlier mutations) age out after a few
+/// evaluations, which bounds the lists; a longer window buys few further
+/// hits for noticeably more memory.
+const KEEP_SOLVE_GENERATIONS: u64 = 2;
 
 /// 128-bit content signature of one lowered stage.
 ///
@@ -187,12 +196,31 @@ pub struct StageSlot {
     pub fresh: Option<LoweredStage>,
 }
 
-/// Key of one cached per-stage transition solve.
+/// Key of one cached per-stage transition solve: the input slew's bits and
+/// the transition's lane `2c + d`, for supply corner `c` (0 nominal, 1 low)
+/// and output direction `d` (0 rising, 1 falling) — the transition order
+/// of `Evaluator::walk`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SolveKey {
-    vdd: u64,
-    rising: bool,
     input_slew: u64,
+    lane: u8,
+}
+
+impl SolveKey {
+    fn new(lane: usize, input_slew: f64) -> Self {
+        Self {
+            input_slew: input_slew.to_bits(),
+            lane: lane as u8,
+        }
+    }
+
+    fn corner(self) -> usize {
+        usize::from(self.lane / 2)
+    }
+
+    fn rising(self) -> bool {
+        self.lane.is_multiple_of(2)
+    }
 }
 
 /// A cached stage: its lowering plus every transition solve seen so far.
@@ -221,23 +249,22 @@ impl CachedStage {
 }
 
 /// Every cached transition solve of one stage, stored flat: the keys in
-/// insertion order and, back to back, each key's per-tap timings. That is
-/// two allocations per stage instead of a hash table plus one vector per
-/// solve. A stage holds at most [`MAX_SOLVES_PER_STAGE`] keys, so a lookup
-/// is a short linear scan.
+/// insertion order, the generation that last used each, and, back to back,
+/// each key's per-tap timings. That is three allocations per stage instead
+/// of a hash table plus one vector per solve; a lookup is a linear scan.
 #[derive(Debug, Clone, Default)]
 struct StageSolves {
     keys: Vec<SolveKey>,
+    last_used: Vec<u64>,
     timings: Vec<RelTiming>,
 }
 
 impl StageSolves {
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn find(&self, key: &SolveKey) -> Option<usize> {
-        self.keys.iter().position(|k| k == key)
+    /// The index of `key`, marked as used by generation `gen`.
+    fn find(&mut self, key: &SolveKey, gen: u64) -> Option<usize> {
+        let index = self.keys.iter().position(|k| k == key)?;
+        self.last_used[index] = gen;
+        Some(index)
     }
 
     /// The per-tap timings of the `index`-th key of a stage with `taps`
@@ -246,18 +273,39 @@ impl StageSolves {
         &self.timings[index * taps..(index + 1) * taps]
     }
 
-    /// Appends a solve and returns its index.
-    fn push(&mut self, key: SolveKey, timings: &[RelTiming]) -> usize {
+    /// Appends a solve used by generation `gen` and returns its index.
+    fn push(&mut self, key: SolveKey, gen: u64, timings: &[RelTiming]) -> usize {
         grow_by_half(&mut self.keys, 1);
+        grow_by_half(&mut self.last_used, 1);
         grow_by_half(&mut self.timings, timings.len());
         self.keys.push(key);
+        self.last_used.push(gen);
         self.timings.extend_from_slice(timings);
         self.keys.len() - 1
     }
 
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.timings.clear();
+    /// Drops the keys (of a stage with `taps` taps) that no evaluation used
+    /// within [`KEEP_SOLVE_GENERATIONS`] of generation `gen`, keeping the
+    /// rest in order; returns how many it dropped.
+    fn age(&mut self, gen: u64, taps: usize) -> u64 {
+        let mut kept = 0;
+        for i in 0..self.keys.len() {
+            if self.last_used[i] + KEEP_SOLVE_GENERATIONS < gen {
+                continue;
+            }
+            if kept != i {
+                self.keys[kept] = self.keys[i];
+                self.last_used[kept] = self.last_used[i];
+                self.timings
+                    .copy_within(i * taps..(i + 1) * taps, kept * taps);
+            }
+            kept += 1;
+        }
+        let dropped = self.keys.len() - kept;
+        self.keys.truncate(kept);
+        self.last_used.truncate(kept);
+        self.timings.truncate(kept * taps);
+        dropped as u64
     }
 }
 
@@ -288,9 +336,10 @@ pub struct CacheStats {
     /// Of the `solve_hits`, those answered from an attached persistent
     /// store rather than the in-memory solve maps.
     pub solve_disk_hits: u64,
-    /// In-memory entries discarded by bounds: stages aged out past
-    /// `KEEP_GENERATIONS`, plus solves dropped when a stage's solve map
-    /// hits `MAX_SOLVES_PER_STAGE` and is cleared.
+    /// In-memory entries discarded by aging: stages unused for more than
+    /// `KEEP_GENERATIONS` evaluations (their solves go with them, uncounted),
+    /// plus solve keys of the remaining stages unused for more than
+    /// `KEEP_SOLVE_GENERATIONS` evaluations.
     pub evictions: u64,
 }
 
@@ -319,10 +368,9 @@ struct JobProfile {
     /// Stage signatures this job has looked up, by last-used generation
     /// (mirrors the in-memory cache's `last_used` aging).
     stage_seen: HashMap<StageSig, u64>,
-    /// Solve keys this job has looked up.
-    solve_seen: HashSet<(StageSig, SolveKey)>,
-    /// Distinct solves per stage, for simulating the solve-map bound.
-    solve_counts: HashMap<StageSig, usize>,
+    /// Solve keys this job has looked up, by last-used generation (mirrors
+    /// the aging of the in-memory solve keys).
+    solve_seen: HashMap<(StageSig, SolveKey), u64>,
 }
 
 impl JobProfile {
@@ -343,40 +391,37 @@ impl JobProfile {
         }
     }
 
-    fn classify_solve(&mut self, sig: StageSig, key: SolveKey, binding: Option<&StoreBinding>) {
-        if self.solve_seen.contains(&(sig, key)) {
-            self.counters.mem_hits += 1;
-            return;
-        }
-        let count = self.solve_counts.get(&sig).copied().unwrap_or(0);
-        if count >= MAX_SOLVES_PER_STAGE {
-            let mut cleared = 0u64;
-            self.solve_seen.retain(|(s, _)| {
-                let keep = *s != sig;
-                if !keep {
-                    cleared += 1;
+    fn classify_solve(
+        &mut self,
+        sig: StageSig,
+        key: SolveKey,
+        vdd: f64,
+        binding: Option<&StoreBinding>,
+    ) {
+        match self.solve_seen.entry((sig, key)) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                self.counters.mem_hits += 1;
+                *e.get_mut() = self.gen;
+            }
+            std::collections::hash_map::Entry::Vacant(v) => {
+                let on_disk = binding.is_some_and(|b| {
+                    b.store
+                        .contains_snapshot(solve_store_key(sig, b.fingerprint, vdd, key))
+                });
+                if on_disk {
+                    self.counters.disk_hits += 1;
+                } else {
+                    self.counters.misses += 1;
                 }
-                keep
-            });
-            self.counters.evictions += cleared;
-            self.solve_counts.insert(sig, 0);
+                v.insert(self.gen);
+            }
         }
-        let on_disk = binding.is_some_and(|b| {
-            b.store
-                .contains_snapshot(solve_store_key(sig, b.fingerprint, key))
-        });
-        if on_disk {
-            self.counters.disk_hits += 1;
-        } else {
-            self.counters.misses += 1;
-        }
-        self.solve_seen.insert((sig, key));
-        *self.solve_counts.entry(sig).or_insert(0) += 1;
     }
 
     /// Mirrors the end-of-evaluation generation aging of the in-memory
     /// cache: stages unused for `KEEP_GENERATIONS` evaluations are dropped
-    /// (together with their solves) and counted as evictions.
+    /// together with their solves and counted as evictions, and so are the
+    /// remaining stages' solve keys unused for `KEEP_SOLVE_GENERATIONS`.
     fn end_evaluation(&mut self) {
         let gen = self.gen;
         let mut removed: HashSet<StageSig> = HashSet::new();
@@ -387,14 +432,19 @@ impl JobProfile {
             }
             keep
         });
-        if removed.is_empty() {
-            return;
-        }
         self.counters.evictions += removed.len() as u64;
-        self.solve_seen.retain(|(s, _)| !removed.contains(s));
-        for sig in &removed {
-            self.solve_counts.remove(sig);
-        }
+        let mut aged = 0u64;
+        self.solve_seen.retain(|(sig, _), last| {
+            if removed.contains(sig) {
+                return false;
+            }
+            let keep = *last + KEEP_SOLVE_GENERATIONS >= gen;
+            if !keep {
+                aged += 1;
+            }
+            keep
+        });
+        self.counters.evictions += aged;
     }
 }
 
@@ -422,6 +472,15 @@ pub struct IncrementalEvaluator {
     stats: Cell<CacheStats>,
     store: RefCell<Option<StoreBinding>>,
     profile: RefCell<Option<JobProfile>>,
+    scratch: RefCell<SolveScratch>,
+}
+
+/// Reusable scratch of the solves of [`IncrementalEvaluator::evaluate_slots`].
+#[derive(Debug, Default)]
+struct SolveScratch {
+    stage: StageScratch,
+    /// The solved transitions' tap timings, transition by transition.
+    timings: Vec<RelTiming>,
 }
 
 impl IncrementalEvaluator {
@@ -449,6 +508,7 @@ impl IncrementalEvaluator {
             stats: Cell::new(CacheStats::default()),
             store: RefCell::new(None),
             profile: RefCell::new(None),
+            scratch: RefCell::new(SolveScratch::default()),
         }
     }
 
@@ -652,19 +712,25 @@ impl IncrementalEvaluator {
         }
 
         let tech = self.inner.technology();
-        let (nominal_vdd, low_vdd) = (tech.nominal_corner.vdd, tech.low_corner.vdd);
         let slew_limit = tech.slew_limit;
-        let nominal =
-            self.evaluate_corner(&mut cache, &mut stats, binding, profile, &meta, nominal_vdd);
-        let low = self.evaluate_corner(&mut cache, &mut stats, binding, profile, &meta, low_vdd);
+        let [nominal, low] = self.walk_slots(
+            &mut cache,
+            &mut stats,
+            binding,
+            profile,
+            &meta,
+            Supply::of(tech),
+            gen,
+        );
         let buffer_count = meta.len().saturating_sub(1);
 
         cache.retain(|_, e| {
-            let keep = e.last_used + KEEP_GENERATIONS >= gen;
-            if !keep {
+            if e.last_used + KEEP_GENERATIONS < gen {
                 stats.evictions += 1;
+                return false;
             }
-            keep
+            stats.evictions += e.solves.age(gen, e.stage.taps.len());
+            true
         });
         if let Some(p) = profile.as_mut() {
             p.end_evaluation();
@@ -680,38 +746,42 @@ impl IncrementalEvaluator {
         }
     }
 
-    /// Evaluates one supply corner over the cached stages, mirroring one
-    /// corner of `Evaluator::walk` step for step.
-    fn evaluate_corner(
+    /// Propagates both transitions at both supply corners through the
+    /// cached stages in one walk, mirroring `Evaluator::walk` step for
+    /// step, and returns the nominal and low corner reports.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_slots(
         &self,
         cache: &mut HashMap<StageSig, Box<CachedStage>>,
         stats: &mut CacheStats,
         binding: Option<&StoreBinding>,
         profile: &mut Option<JobProfile>,
         meta: &[(StageSig, Vec<usize>)],
-        vdd: f64,
-    ) -> CornerReport {
+        supply: Supply,
+        gen: u64,
+    ) -> [CornerReport; 2] {
         let n = meta.len();
-        let source_slew = match cache[&meta[0].0].stage.driver {
-            StageDriver::Source(s) => s.slew,
-            // `Netlist::validate` rejects buffer-driven roots on the full
-            // path; fail just as loudly here.
-            StageDriver::Buffer(_) => panic!("root stage must be driven by the clock source"),
+        let source = EdgeState {
+            arrival: 0.0,
+            slew: match cache[&meta[0].0].stage.driver {
+                StageDriver::Source(s) => s.slew,
+                // `Netlist::validate` rejects buffer-driven roots on the full
+                // path; fail just as loudly here.
+                StageDriver::Buffer(_) => panic!("root stage must be driven by the clock source"),
+            },
         };
-        let mut inputs: Vec<Option<NodeState>> = vec![None; n];
-        inputs[0] = Some(NodeState {
-            rise: EdgeState {
-                arrival: 0.0,
-                slew: source_slew,
-            },
-            fall: EdgeState {
-                arrival: 0.0,
-                slew: source_slew,
-            },
-        });
-
-        let mut sinks: Vec<SinkTiming> = Vec::new();
-        let mut max_slew = 0.0_f64;
+        // Every slot's input edges at both corners, written by the parent
+        // before the slot is pushed.
+        let mut inputs = vec![[NodeState::default(); 2]; n];
+        inputs[0] = [NodeState {
+            rise: source,
+            fall: source,
+        }; 2];
+        let vdd = [supply.nominal, supply.low];
+        let mut derate: [Option<f64>; 2] = [None; 2];
+        let mut scratch = self.scratch.borrow_mut();
+        let mut sinks: [Vec<SinkTiming>; 2] = [Vec::new(), Vec::new()];
+        let mut max_slew = [0.0_f64; 2];
         // Per-slot drive tracking, mirroring `Netlist::validate`'s `driven`
         // array: a doubly-driven slot fails at the offending tap, and the
         // final count catches undriven slots.
@@ -721,74 +791,78 @@ impl IncrementalEvaluator {
         let mut stack = vec![0usize];
         while let Some(si) = stack.pop() {
             visited += 1;
-            let input = inputs[si].expect("stage order guarantees inputs are known");
-            let entry = cache
-                .get_mut(&meta[si].0)
-                .expect("every slot was installed above");
+            let (sig, children) = &meta[si];
+            let entry = cache.get_mut(sig).expect("every slot was installed above");
             let inverting = entry.stage.driver.inverting();
-            let (in_for_rise, in_for_fall) = if inverting {
-                (input.fall, input.rise)
-            } else {
-                (input.rise, input.fall)
-            };
-
-            let rise_out = Self::transition_outputs(
-                &self.inner,
+            // Transition 2c is corner c's rising output, 2c + 1 its falling
+            // one (the lanes of `SolveKey`).
+            let mut edges = [EdgeState::default(); 4];
+            for (c, input) in inputs[si].iter().enumerate() {
+                let (in_for_rise, in_for_fall) = if inverting {
+                    (input.fall, input.rise)
+                } else {
+                    (input.rise, input.fall)
+                };
+                edges[2 * c] = in_for_rise;
+                edges[2 * c + 1] = in_for_fall;
+            }
+            let solved = self.stage_solves(
+                &mut scratch,
                 stats,
                 binding,
                 profile,
-                meta[si].0,
+                *sig,
                 entry,
+                gen,
+                &edges,
                 vdd,
-                true,
-                in_for_rise,
-            );
-            let fall_out = Self::transition_outputs(
-                &self.inner,
-                stats,
-                binding,
-                profile,
-                meta[si].0,
-                entry,
-                vdd,
-                false,
-                in_for_fall,
+                &mut derate,
             );
 
             // Children are pushed in tap order and popped LIFO — the same
             // traversal `Netlist::topological_order` produces.
-            let mut pushed: Vec<usize> = Vec::new();
+            let n_taps = entry.stage.taps.len();
             for (tap_idx, tap) in entry.stage.taps.iter().enumerate() {
-                let r = rise_out[tap_idx];
-                let f = fall_out[tap_idx];
-                max_slew = max_slew.max(r.slew).max(f.slew);
+                let mut state = [NodeState::default(); 2];
+                for (c, state) in state.iter_mut().enumerate() {
+                    let [r, f] = [2 * c, 2 * c + 1].map(|lane| {
+                        let t = entry.solves.get(solved[lane], n_taps)[tap_idx];
+                        EdgeState {
+                            arrival: edges[lane].arrival + t.delay,
+                            slew: t.slew,
+                        }
+                    });
+                    max_slew[c] = max_slew[c].max(r.slew).max(f.slew);
+                    *state = NodeState { rise: r, fall: f };
+                }
                 match tap.kind {
                     LocalTapKind::Sink(id) => {
-                        sinks.push(SinkTiming {
-                            sink_id: id,
-                            rise: TransitionTiming {
-                                latency: r.arrival,
-                                slew: r.slew,
-                            },
-                            fall: TransitionTiming {
-                                latency: f.arrival,
-                                slew: f.slew,
-                            },
-                        });
+                        for (sinks, s) in sinks.iter_mut().zip(state) {
+                            sinks.push(SinkTiming {
+                                sink_id: id,
+                                rise: TransitionTiming {
+                                    latency: s.rise.arrival,
+                                    slew: s.rise.slew,
+                                },
+                                fall: TransitionTiming {
+                                    latency: s.fall.arrival,
+                                    slew: s.fall.slew,
+                                },
+                            });
+                        }
                     }
                     LocalTapKind::Child(k) => {
-                        let child = meta[si].1[k];
+                        let child = children[k];
                         assert!(
                             !driven[child],
                             "stage slot {child} is driven more than once"
                         );
                         driven[child] = true;
-                        pushed.push(child);
-                        inputs[child] = Some(NodeState { rise: r, fall: f });
+                        stack.push(child);
+                        inputs[child] = state;
                     }
                 }
             }
-            stack.extend(pushed);
         }
 
         // The structural checks `Netlist::new` performs on the full path,
@@ -799,98 +873,120 @@ impl IncrementalEvaluator {
             visited, n,
             "stage slots do not form a tree: only {visited} of {n} stages are driven"
         );
-        sinks.sort_by_key(|s| s.sink_id);
-        for pair in sinks.windows(2) {
+        for sinks in &mut sinks {
+            sinks.sort_by_key(|s| s.sink_id);
+        }
+        for pair in sinks[0].windows(2) {
             assert_ne!(
                 pair[0].sink_id, pair[1].sink_id,
                 "sink {} is driven more than once",
                 pair[0].sink_id
             );
         }
-        CornerReport {
-            vdd,
+        let [nominal, low] = sinks;
+        let report = |c: usize, sinks| CornerReport {
+            vdd: vdd[c],
             sinks,
-            max_slew,
-        }
+            max_slew: max_slew[c],
+        };
+        [report(0, nominal), report(1, low)]
     }
 
-    /// Returns the absolute output edge state at every tap of a cached
-    /// stage, solving the stage only when this `(supply, direction, input
-    /// slew)` combination has not been seen before — in this process (the
-    /// in-memory solve map) or any earlier one (the attached store).
+    /// The indices in `entry`'s solve list of the stage's four transitions,
+    /// whose causing input edges are `edges` (in `SolveKey` lane order).
+    /// Each comes from the in-memory list, else from the attached store,
+    /// else it is solved: all of the stage's solves in one call.
     #[allow(clippy::too_many_arguments)]
-    fn transition_outputs(
-        evaluator: &Evaluator,
+    fn stage_solves(
+        &self,
+        scratch: &mut SolveScratch,
         stats: &mut CacheStats,
         binding: Option<&StoreBinding>,
         profile: &mut Option<JobProfile>,
         sig: StageSig,
         entry: &mut CachedStage,
-        vdd: f64,
-        output_rising: bool,
-        input: EdgeState,
-    ) -> Vec<EdgeState> {
-        let key = SolveKey {
-            vdd: vdd.to_bits(),
-            rising: output_rising,
-            input_slew: input.slew.to_bits(),
-        };
-        if let Some(p) = profile.as_mut() {
-            p.classify_solve(sig, key, binding);
-        }
-        let found = entry.solves.find(&key);
-        // Bound the per-stage solve list before adding to it.
-        if found.is_none() && entry.solves.len() >= MAX_SOLVES_PER_STAGE {
-            stats.evictions += entry.solves.len() as u64;
-            entry.solves.clear();
-        }
+        gen: u64,
+        edges: &[EdgeState; 4],
+        vdd: [f64; 2],
+        derate: &mut [Option<f64>; 2],
+    ) -> [usize; 4] {
         let CachedStage { stage, solves, .. } = entry;
-        let index = match found {
-            Some(index) => {
+        let n_taps = stage.taps.len();
+        let mut index = [0usize; 4];
+        let mut misses = [SolveKey::new(0, 0.0); 4];
+        let mut n_misses = 0;
+        for (lane, edge) in edges.iter().enumerate() {
+            let key = SolveKey::new(lane, edge.slew);
+            let key_vdd = vdd[key.corner()];
+            if let Some(p) = profile.as_mut() {
+                p.classify_solve(sig, key, key_vdd, binding);
+            }
+            if let Some(i) = solves.find(&key, gen) {
                 stats.solve_hits += 1;
-                index
+                index[lane] = i;
+                continue;
             }
-            None => {
-                let stored = binding.and_then(|b| {
-                    let store_key = solve_store_key(sig, b.fingerprint, key);
-                    let (payload, _tier) = b.store.get(store_key)?;
-                    decode_solves(&payload, stage.taps.len())
-                });
-                let rel = match stored {
-                    Some(rel) => {
-                        stats.solve_hits += 1;
-                        stats.solve_disk_hits += 1;
-                        rel
-                    }
-                    None => {
-                        stats.solve_misses += 1;
-                        let driver = stage.driver.spec();
-                        let rel = evaluator.stage_rel_outputs(
-                            &stage.tree,
-                            stage.taps.iter().map(|t| t.node),
-                            &driver,
-                            stage.driver.is_source(),
-                            vdd,
-                            output_rising,
-                            input.slew,
-                        );
-                        if let Some(b) = binding {
-                            let store_key = solve_store_key(sig, b.fingerprint, key);
-                            let _ = b.store.put(store_key, &encode_solves(&rel));
-                        }
-                        rel
-                    }
-                };
-                solves.push(key, &rel)
+            let stored = binding.and_then(|b| {
+                let (payload, _tier) =
+                    b.store
+                        .get(solve_store_key(sig, b.fingerprint, key_vdd, key))?;
+                decode_solves(&payload, n_taps)
+            });
+            if let Some(rel) = stored {
+                stats.solve_hits += 1;
+                stats.solve_disk_hits += 1;
+                index[lane] = solves.push(key, gen, &rel);
+            } else {
+                misses[n_misses] = key;
+                n_misses += 1;
             }
-        };
-        let rel = solves.get(index, stage.taps.len());
-        rel.iter()
-            .map(|t| EdgeState {
-                arrival: input.arrival + t.delay,
-                slew: t.slew,
-            })
-            .collect()
+        }
+        if n_misses == 0 {
+            return index;
+        }
+
+        let misses = &misses[..n_misses];
+        let is_source = stage.driver.is_source();
+        let tech = self.inner.technology();
+        let mut transitions = [Transition::default(); 4];
+        for (t, key) in transitions.iter_mut().zip(misses) {
+            let c = key.corner();
+            *t = Transition {
+                vdd: vdd[c],
+                derate: if is_source {
+                    1.0
+                } else {
+                    *derate[c].get_or_insert_with(|| tech.derate(vdd[c]))
+                },
+                rising: key.rising(),
+                input_slew: f64::from_bits(key.input_slew),
+            };
+        }
+        let SolveScratch {
+            stage: loaded,
+            timings,
+        } = scratch;
+        self.inner.solve_stage(
+            &stage.tree,
+            loaded,
+            stage.taps.iter().map(|t| t.node),
+            &stage.driver.spec(),
+            is_source,
+            &transitions[..n_misses],
+            timings,
+        );
+        for (j, key) in misses.iter().enumerate() {
+            let rel = &timings[j * n_taps..(j + 1) * n_taps];
+            stats.solve_misses += 1;
+            if let Some(b) = binding {
+                // Cache write failures degrade to a smaller cache, never to
+                // a failed evaluation.
+                let store_key = solve_store_key(sig, b.fingerprint, vdd[key.corner()], *key);
+                let _ = b.store.put(store_key, &encode_solves(rel));
+            }
+            index[usize::from(key.lane)] = solves.push(*key, gen, rel);
+        }
+        index
     }
 }
 
@@ -905,8 +1001,9 @@ fn stage_store_key(sig: StageSig) -> StoreKey {
 }
 
 /// The store key of one transition solve: stage signature, evaluation
-/// fingerprint and solve key, mixed through the signature hasher.
-fn solve_store_key(sig: StageSig, fingerprint: StageSig, key: SolveKey) -> StoreKey {
+/// fingerprint, and the supply `vdd` of the key's corner, direction and
+/// input slew, mixed through the signature hasher.
+fn solve_store_key(sig: StageSig, fingerprint: StageSig, vdd: f64, key: SolveKey) -> StoreKey {
     let mut b = SigBuilder::new();
     let (slo, shi) = sig.parts();
     b.write_u64(slo);
@@ -914,8 +1011,8 @@ fn solve_store_key(sig: StageSig, fingerprint: StageSig, key: SolveKey) -> Store
     let (flo, fhi) = fingerprint.parts();
     b.write_u64(flo);
     b.write_u64(fhi);
-    b.write_u64(key.vdd);
-    b.write_bool(key.rising);
+    b.write_f64(vdd);
+    b.write_bool(key.rising());
     b.write_u64(key.input_slew);
     let (lo, hi) = b.finish().parts();
     StoreKey::new(crate::store::NS_SOLVE, lo, hi)
@@ -1221,53 +1318,204 @@ mod tests {
         assert!(!inc.is_cached(slots[1].sig));
     }
 
+    /// Round `round` of a slew churn over [`two_sink_network`]: the
+    /// downstream stage keeps its content (and signature) while the root
+    /// stage's trunk grows by one ohm per round, so a new input slew
+    /// reaches the fixed stage every round. Returns the round's netlist and
+    /// slots (the fixed slot lowered only when `inc` does not hold it).
+    fn churn_round(
+        inc: &IncrementalEvaluator,
+        netlist: &Netlist,
+        slots: &[StageSlot],
+        round: usize,
+    ) -> (Netlist, Vec<StageSlot>) {
+        let extra_res = round as f64;
+        let mut n = netlist.clone();
+        let mut t0 = RcTree::new();
+        let r0 = t0.add_root(1.0);
+        let input_cap = n.stages[1].driver.spec().input_cap;
+        let trunk = t0.add_node(r0, 120.0 + extra_res, 60.0 + input_cap);
+        n.stages[0].tree = t0.clone();
+        n.stages[0].taps[0].node = trunk;
+
+        let mut sig = SigBuilder::new();
+        sig.write_f64(extra_res);
+        let root_slot = StageSlot {
+            sig: sig.finish(),
+            children: vec![1],
+            fresh: Some(LoweredStage {
+                driver: n.stages[0].driver,
+                tree: t0,
+                taps: vec![LocalTap {
+                    node: trunk,
+                    kind: LocalTapKind::Child(0),
+                }],
+            }),
+        };
+        let fixed_slot = StageSlot {
+            sig: slots[1].sig,
+            children: vec![],
+            fresh: if inc.is_cached(slots[1].sig) {
+                None
+            } else {
+                slots[1].fresh.clone()
+            },
+        };
+        (n, vec![root_slot, fixed_slot])
+    }
+
     #[test]
     fn bounded_solve_cache_stays_correct_under_slew_churn() {
-        // Keep the downstream stage's content fixed while the upstream
-        // stage changes every round, so a new input slew reaches the fixed
-        // stage each time. Past MAX_SOLVES_PER_STAGE entries its solve map
-        // is cleared; results must stay bit-identical to full evaluation
+        // The fixed stage sees four new solve keys per round; keys unused
+        // for KEEP_SOLVE_GENERATIONS evaluations age out, which bounds its
+        // solve list, and results stay bit-identical to full evaluation
         // throughout.
         let tech = Technology::ispd09();
         let (netlist, slots) = two_sink_network();
         let inc = IncrementalEvaluator::new(tech.clone());
         let full = Evaluator::new(tech);
-        for round in 0..(MAX_SOLVES_PER_STAGE + 8) {
-            let extra_res = round as f64;
-            let mut n = netlist.clone();
-            let mut t0 = RcTree::new();
-            let r0 = t0.add_root(1.0);
-            let input_cap = n.stages[1].driver.spec().input_cap;
-            let trunk = t0.add_node(r0, 120.0 + extra_res, 60.0 + input_cap);
-            n.stages[0].tree = t0.clone();
-            n.stages[0].taps[0].node = trunk;
+        let bound = 4 * (KEEP_SOLVE_GENERATIONS as usize + 1);
+        for round in 0..(bound + 8) {
+            let (n, round_slots) = churn_round(&inc, &netlist, &slots, round);
+            let fast = inc.evaluate_slots(round_slots);
+            assert_eq!(fast, full.evaluate(&n), "round {round}");
+            let keys = inc.cache.borrow()[&slots[1].sig].solves.keys.len();
+            assert!(keys <= bound, "round {round}: {keys} keys");
+        }
+        let stats = inc.stats();
+        assert_eq!(stats.solve_hits, 0, "every round brings new slews");
+        assert!(stats.evictions > 0, "old keys must age out");
+    }
 
-            let mut sig = SigBuilder::new();
-            sig.write_f64(extra_res);
-            let root_slot = StageSlot {
-                sig: sig.finish(),
-                children: vec![1],
+    /// A source-driven root fanning out through `fanout` branches of
+    /// growing resistance into `fanout` electrically identical buffer
+    /// stages — one signature — each driving its own single-sink leaf
+    /// stage; as a netlist and as slots.
+    fn shared_signature_network(fanout: usize) -> (Netlist, Vec<StageSlot>) {
+        let tech = Technology::ispd09();
+        let d = DriverSpec::from_composite(&tech.composite(tech.small_inverter(), 8));
+        let sig = |tag: u64, i: usize| {
+            let mut b = SigBuilder::new();
+            b.write_u64(tag);
+            b.write_usize(i);
+            b.finish()
+        };
+        let mut root = RcTree::new();
+        let r0 = root.add_root(1.0);
+        let branches: Vec<usize> = (0..fanout)
+            .map(|i| root.add_node(r0, 40.0 + 25.0 * i as f64, 20.0 + d.input_cap))
+            .collect();
+        let mut middle = RcTree::new();
+        let m0 = middle.add_root(d.output_cap);
+        let m_tap = middle.add_node(m0, 80.0, 30.0 + d.input_cap);
+        let mut leaf = RcTree::new();
+        let l0 = leaf.add_root(d.output_cap);
+        let l_tap = leaf.add_node(l0, 60.0, 25.0);
+
+        let source = StageDriver::Source(SourceSpec::ispd09());
+        let buffer = StageDriver::Buffer(d);
+        let mut stages = vec![Stage {
+            driver: source,
+            tree: root.clone(),
+            taps: branches
+                .iter()
+                .enumerate()
+                .map(|(i, &node)| Tap {
+                    node,
+                    kind: TapKind::Stage(1 + i),
+                })
+                .collect(),
+        }];
+        let mut slots = vec![StageSlot {
+            sig: sig(0, 0),
+            children: (1..=fanout).collect(),
+            fresh: Some(LoweredStage {
+                driver: source,
+                tree: root,
+                taps: branches
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &node)| LocalTap {
+                        node,
+                        kind: LocalTapKind::Child(i),
+                    })
+                    .collect(),
+            }),
+        }];
+        for i in 0..fanout {
+            stages.push(Stage {
+                driver: buffer,
+                tree: middle.clone(),
+                taps: vec![Tap {
+                    node: m_tap,
+                    kind: TapKind::Stage(1 + fanout + i),
+                }],
+            });
+            slots.push(StageSlot {
+                sig: sig(1, 0),
+                children: vec![1 + fanout + i],
                 fresh: Some(LoweredStage {
-                    driver: n.stages[0].driver,
-                    tree: t0,
+                    driver: buffer,
+                    tree: middle.clone(),
                     taps: vec![LocalTap {
-                        node: trunk,
+                        node: m_tap,
                         kind: LocalTapKind::Child(0),
                     }],
                 }),
-            };
-            let fixed_slot = StageSlot {
-                sig: slots[1].sig,
-                children: vec![],
-                fresh: if inc.is_cached(slots[1].sig) {
-                    None
-                } else {
-                    slots[1].fresh.clone()
-                },
-            };
-            let fast = inc.evaluate_slots(vec![root_slot, fixed_slot]);
-            assert_eq!(fast, full.evaluate(&n), "round {round}");
+            });
         }
+        for i in 0..fanout {
+            let sink = [Tap {
+                node: l_tap,
+                kind: TapKind::Sink(i),
+            }];
+            stages.push(Stage {
+                driver: buffer,
+                tree: leaf.clone(),
+                taps: sink.to_vec(),
+            });
+            slots.push(StageSlot {
+                sig: sig(2, i),
+                children: vec![],
+                fresh: Some(LoweredStage {
+                    driver: buffer,
+                    tree: leaf.clone(),
+                    taps: vec![LocalTap {
+                        node: l_tap,
+                        kind: LocalTapKind::Sink(i),
+                    }],
+                }),
+            });
+        }
+        let netlist = Netlist::new(stages, 0).expect("valid netlist");
+        (netlist, slots)
+    }
+
+    #[test]
+    fn shared_signature_stages_keep_every_solve_for_the_next_evaluation() {
+        // 24 instances of one signature with distinct input slews need 96
+        // solve keys per evaluation. Every one of them must still be cached
+        // when the next evaluation asks for it.
+        let tech = Technology::ispd09();
+        let (netlist, slots) = shared_signature_network(24);
+        let inc = IncrementalEvaluator::new(tech.clone());
+        let first = inc.evaluate_slots(slots.clone());
+        assert_eq!(first, Evaluator::new(tech).evaluate(&netlist));
+        let shared = slots[1].sig;
+        assert_eq!(inc.cache.borrow()[&shared].solves.keys.len(), 4 * 24);
+        let misses = inc.stats().solve_misses;
+        let second = inc.evaluate_slots(
+            slots
+                .iter()
+                .map(|s| StageSlot {
+                    sig: s.sig,
+                    children: s.children.clone(),
+                    fresh: None,
+                })
+                .collect(),
+        );
+        assert_eq!(inc.stats().solve_misses, misses, "no re-solves");
+        assert_eq!(format!("{second:?}"), format!("{first:?}"));
     }
 
     #[test]
@@ -1413,6 +1661,29 @@ mod tests {
         let inc = IncrementalEvaluator::new(tech.clone());
         assert_eq!(inc.take_job_profile(), CacheCounters::default());
         let _ = std::fs::remove_dir_all(&dir);
+
+        // Against an empty snapshot, the profile of a fresh evaluator is
+        // exactly its observed accounting — solve-key aging included.
+        let dir = temp_store_dir("profile-aging");
+        let (netlist, slots) = two_sink_network();
+        let inc = IncrementalEvaluator::new(tech.clone());
+        inc.attach_store(Arc::new(CacheStore::open(&dir).expect("open")));
+        inc.begin_job_profile();
+        for round in 0..12 {
+            let (_n, round_slots) = churn_round(&inc, &netlist, &slots, round);
+            let _ = inc.evaluate_slots(round_slots);
+        }
+        let stats = inc.stats();
+        let profile = inc.take_job_profile();
+        assert!(stats.evictions > 0, "the churn must age solve keys out");
+        assert_eq!(profile.mem_hits, stats.stage_hits + stats.solve_hits);
+        assert_eq!(profile.misses, stats.stage_misses + stats.solve_misses);
+        assert_eq!(
+            profile.disk_hits,
+            stats.stage_disk_hits + stats.solve_disk_hits
+        );
+        assert_eq!(profile.evictions, stats.evictions);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1461,23 +1732,32 @@ mod tests {
 
     #[test]
     fn stage_solves_keep_each_keys_timings_apart() {
-        let key = |slew: f64| SolveKey {
-            vdd: 1.2_f64.to_bits(),
-            rising: true,
-            input_slew: slew.to_bits(),
-        };
+        let key = |slew: f64| SolveKey::new(0, slew);
         let rel = |delay: f64| RelTiming { delay, slew: 1.0 };
         let mut solves = StageSolves::default();
-        assert_eq!(solves.push(key(10.0), &[rel(1.0), rel(2.0)]), 0);
-        assert_eq!(solves.push(key(20.0), &[rel(3.0), rel(4.0)]), 1);
-        assert_eq!(solves.find(&key(20.0)), Some(1));
-        assert_eq!(solves.find(&key(30.0)), None);
+        assert_eq!(solves.push(key(10.0), 1, &[rel(1.0), rel(2.0)]), 0);
+        assert_eq!(solves.push(key(20.0), 1, &[rel(3.0), rel(4.0)]), 1);
+        assert_eq!(solves.push(key(30.0), 2, &[rel(5.0), rel(6.0)]), 2);
+        assert_eq!(solves.find(&key(20.0), 3), Some(1));
+        assert_eq!(solves.find(&key(40.0), 3), None);
         assert_eq!(solves.get(0, 2), &[rel(1.0), rel(2.0)]);
         assert_eq!(solves.get(1, 2), &[rel(3.0), rel(4.0)]);
-        solves.clear();
-        assert_eq!(solves.len(), 0);
-        assert_eq!(solves.push(key(20.0), &[rel(5.0), rel(6.0)]), 0);
-        assert_eq!(solves.get(0, 2), &[rel(5.0), rel(6.0)]);
+        // Past the window, key 10 (last used by generation 1) ages out;
+        // key 20 (touched by 3) and key 30 (used by 2) stay, in order.
+        assert_eq!(solves.age(KEEP_SOLVE_GENERATIONS + 2, 2), 1);
+        assert_eq!(solves.keys, [key(20.0), key(30.0)]);
+        assert_eq!(solves.get(0, 2), &[rel(3.0), rel(4.0)]);
+        assert_eq!(solves.get(1, 2), &[rel(5.0), rel(6.0)]);
+        assert_eq!(solves.push(key(10.0), 4, &[rel(7.0), rel(8.0)]), 2);
+        assert_eq!(solves.get(2, 2), &[rel(7.0), rel(8.0)]);
+    }
+
+    #[test]
+    fn solve_keys_pack_corner_and_direction() {
+        let keys: Vec<SolveKey> = (0..4).map(|lane| SolveKey::new(lane, 5.0)).collect();
+        let decoded: Vec<(usize, bool)> = keys.iter().map(|k| (k.corner(), k.rising())).collect();
+        assert_eq!(decoded, [(0, true), (0, false), (1, true), (1, false)]);
+        assert_eq!(std::mem::size_of::<SolveKey>(), 16);
     }
 
     #[test]

@@ -96,3 +96,27 @@ fn final_slacks_are_consistent_with_the_report() {
     let max_slow = slacks.sink_slow.iter().copied().fold(0.0_f64, f64::max);
     assert!(max_slow <= result.report.low.skew().max(result.skew()) + 1e-6);
 }
+
+#[test]
+fn small_transient_flow_bits_are_pinned() {
+    // Every stage solve of this flow goes through the transient kernel, on
+    // both the incremental and the full evaluation path. The bits were
+    // recorded before the kernel solved a stage's transitions as
+    // interleaved lanes and before solve keys aged individually.
+    let instance = truncated(6, 24);
+    let flow = ContangoFlow::new(Technology::ispd09(), FlowConfig::fast());
+    let result = flow.run(&instance).expect("flow runs");
+    assert_eq!(
+        result.skew().to_bits(),
+        0x403842fb644a7250,
+        "skew {}",
+        result.skew()
+    );
+    assert_eq!(
+        result.clr().to_bits(),
+        0x4052d4ea028e0288,
+        "CLR {}",
+        result.clr()
+    );
+    assert_eq!(result.spice_runs, 30);
+}

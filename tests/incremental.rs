@@ -1,7 +1,7 @@
 //! Equivalence of incremental and full evaluation.
 //!
 //! The incremental evaluator promises reports that match a full
-//! re-evaluation of the same tree within 1e-9 on every metric. These tests
+//! re-evaluation of the same tree bit for bit on every metric. These tests
 //! enforce that promise across every optimization pass of the flow and
 //! across randomized mutation sequences, rather than trusting the cache
 //! keys.
@@ -22,37 +22,43 @@ use contango::sim::{EvalReport, IncrementalEvaluator, SourceSpec};
 use contango::tech::{Technology, WireWidth};
 use proptest::prelude::*;
 
-const TOL: f64 = 1e-9;
+/// Asserts that two floats have the same bits.
+fn assert_bits(incremental: f64, full: f64, what: std::fmt::Arguments) {
+    assert_eq!(
+        incremental.to_bits(),
+        full.to_bits(),
+        "{what}: {incremental} vs {full}"
+    );
+}
 
-/// Asserts that two evaluation reports agree within `TOL` on every metric:
+/// Asserts that two evaluation reports agree bit for bit on every metric:
 /// the derived figures (skew, CLR, max latency, worst slew, total cap) and
 /// the underlying per-sink, per-transition, per-corner timing.
 fn assert_reports_match(incremental: &EvalReport, full: &EvalReport, context: &str) {
-    assert!(
-        (incremental.skew() - full.skew()).abs() <= TOL,
-        "{context}: skew {} vs {}",
+    assert_bits(
         incremental.skew(),
-        full.skew()
+        full.skew(),
+        format_args!("{context}: skew"),
     );
-    assert!(
-        (incremental.clr() - full.clr()).abs() <= TOL,
-        "{context}: CLR {} vs {}",
+    assert_bits(
         incremental.clr(),
-        full.clr()
+        full.clr(),
+        format_args!("{context}: CLR"),
     );
-    assert!(
-        (incremental.max_latency() - full.max_latency()).abs() <= TOL,
-        "{context}: max latency"
+    assert_bits(
+        incremental.max_latency(),
+        full.max_latency(),
+        format_args!("{context}: max latency"),
     );
-    assert!(
-        (incremental.worst_slew() - full.worst_slew()).abs() <= TOL,
-        "{context}: worst slew"
+    assert_bits(
+        incremental.worst_slew(),
+        full.worst_slew(),
+        format_args!("{context}: worst slew"),
     );
-    assert!(
-        (incremental.total_cap - full.total_cap).abs() <= TOL,
-        "{context}: total cap {} vs {}",
+    assert_bits(
         incremental.total_cap,
-        full.total_cap
+        full.total_cap,
+        format_args!("{context}: total cap"),
     );
     assert_eq!(
         incremental.buffer_count, full.buffer_count,
@@ -67,27 +73,23 @@ fn assert_reports_match(incremental: &EvalReport, full: &EvalReport, context: &s
         (&incremental.nominal, &full.nominal),
         (&incremental.low, &full.low),
     ] {
-        assert!((a.vdd - b.vdd).abs() <= TOL, "{context}: corner vdd");
-        assert!(
-            (a.max_slew - b.max_slew).abs() <= TOL,
-            "{context}: corner max slew"
+        assert_bits(a.vdd, b.vdd, format_args!("{context}: corner vdd"));
+        assert_bits(
+            a.max_slew,
+            b.max_slew,
+            format_args!("{context}: corner max slew"),
         );
         assert_eq!(a.sinks.len(), b.sinks.len(), "{context}: sink count");
         for (sa, sb) in a.sinks.iter().zip(b.sinks.iter()) {
             assert_eq!(sa.sink_id, sb.sink_id, "{context}: sink ids");
             for (ta, tb) in [(sa.rise, sb.rise), (sa.fall, sb.fall)] {
-                assert!(
-                    (ta.latency - tb.latency).abs() <= TOL,
-                    "{context}: sink {} latency {} vs {}",
-                    sa.sink_id,
+                let id = sa.sink_id;
+                assert_bits(
                     ta.latency,
-                    tb.latency
+                    tb.latency,
+                    format_args!("{context}: sink {id} latency"),
                 );
-                assert!(
-                    (ta.slew - tb.slew).abs() <= TOL,
-                    "{context}: sink {} slew",
-                    sa.sink_id
-                );
+                assert_bits(ta.slew, tb.slew, format_args!("{context}: sink {id} slew"));
             }
         }
     }
@@ -136,7 +138,7 @@ fn fixed_sinks() -> Vec<(f64, f64, f64)> {
 
 /// Every optimization pass, run under the incremental evaluator, must leave
 /// the tree in a state where the incremental report and a full
-/// re-evaluation agree within 1e-9 — and the run counter must count both
+/// re-evaluation agree bit for bit — and the run counter must count both
 /// paths identically (one call, one run).
 #[test]
 fn every_pass_preserves_incremental_full_equivalence() {
