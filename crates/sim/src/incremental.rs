@@ -20,7 +20,7 @@
 //!   addition, without re-solving. Each evaluation walks the stages once
 //!   for both corners, and solves all of a stage's misses — up to its four
 //!   transitions — in one lane-interleaved kernel call. Solve keys age out
-//!   individually, [`KEEP_SOLVE_GENERATIONS`] evaluations after their last
+//!   individually, `KEEP_SOLVE_GENERATIONS` evaluations after their last
 //!   use.
 //!
 //! With evaluation incremental, tree *construction* dominates what is left

@@ -15,8 +15,20 @@
 //! both supply corners. Every lane keeps its own time step, horizon and
 //! stop step and does exactly the arithmetic of a one-lane solve, in the
 //! same order, so each lane's results are bit-identical to solving it
-//! alone. Interleaving the lanes overlaps their independent division
-//! chains, which bound the speed of a single solve.
+//! alone.
+//!
+//! Threshold crossings stay off the per-step path. Each node keeps, per
+//! lane, the lowest of the 10/50/90% thresholds it has not crossed yet
+//! (`Node::pend`); a step whose new voltages all stay below it cannot
+//! record anything, so one comparison per lane replaces the three
+//! crossing tests, and only a lane that reaches its pending threshold
+//! takes the recording path. The guard is exact: a skipped step would
+//! have recorded nothing, and a NaN voltage fails it as it fails every
+//! threshold test. The recorded times live in a cold per-node array that
+//! is touched only when recording and when a lane stops, so a step streams
+//! only the factorization, voltages and right-hand sides. What is left of
+//! a step is the per-node chain of dependent divisions, whose latency
+//! bounds a solve; interleaving the lanes overlaps their chains.
 
 use crate::RcTree;
 use serde::{Deserialize, Serialize};
@@ -39,7 +51,7 @@ pub struct TransientResult {
 }
 
 /// Backward-Euler solver for a single stage: the one-lane call of
-/// [`TransientKernel`].
+/// `TransientKernel`.
 #[derive(Debug, Clone)]
 pub struct TransientSolver {
     tree: RcTree,
@@ -52,17 +64,19 @@ impl TransientSolver {
     ///
     /// # Panics
     ///
-    /// Panics if the tree is empty or the driver resistance is not positive.
+    /// Panics if the tree is empty, the driver resistance is not finite and
+    /// positive, or the supply or the ramp time is not finite.
     pub fn new(tree: &RcTree, driver_res: f64, vdd: f64, ramp_ps: f64) -> Self {
         assert!(!tree.is_empty(), "cannot simulate an empty stage");
-        assert!(driver_res > 0.0, "driver resistance must be positive");
+        let lane = Lane {
+            driver_res,
+            vdd,
+            ramp: ramp_ps,
+        };
+        lane.check();
         Self {
             tree: tree.clone(),
-            lane: Lane {
-                driver_res,
-                vdd,
-                ramp: ramp_ps,
-            },
+            lane,
         }
     }
 
@@ -91,11 +105,25 @@ pub(crate) struct Lane {
     pub(crate) ramp: f64,
 }
 
+impl Lane {
+    /// Rejects sources the solver cannot simulate: an infinite ramp or
+    /// time constant makes the horizon, hence the step count, unbounded,
+    /// and a NaN would silently simulate something else.
+    fn check(&self) {
+        assert!(
+            self.driver_res.is_finite() && self.driver_res > 0.0,
+            "driver resistance must be finite and positive"
+        );
+        assert!(self.vdd.is_finite(), "supply voltage must be finite");
+        assert!(self.ramp.is_finite(), "ramp time must be finite");
+    }
+}
+
 /// Per-node values of every lane.
 type Lanes = [f64; MAX_LANES];
 
-/// One node of the tree under every lane, kept together so that a step
-/// touches one record per node.
+/// What a step reads and writes of one node under every lane, kept
+/// together so that a step touches one record per node.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     parent: usize,
@@ -107,10 +135,13 @@ struct Node {
     diag: Lanes,
     v: Lanes,
     rhs: Lanes,
-    t10: Lanes,
-    t50: Lanes,
-    t90: Lanes,
+    /// Lowest threshold not yet crossed: −∞ before the first step, so that
+    /// it is checked, and +∞ once all three are recorded.
+    pend: Lanes,
 }
+
+/// Recorded 10%, 50% and 90% crossing times of one node, NaN until crossed.
+type Crossings = [Lanes; 3];
 
 /// The lane-interleaved backward-Euler kernel. It owns all of a solve's
 /// scratch, so once it has seen the largest stage, solving allocates
@@ -122,6 +153,9 @@ pub(crate) struct TransientKernel {
     down: Vec<f64>,
     rd: Vec<f64>,
     m1: Vec<f64>,
+    /// Per-node crossing times, touched only when recording and when a
+    /// lane stops.
+    crossings: Vec<Crossings>,
     /// Per-node delay and slew of every lane, written when the lane stops.
     results: Vec<(Lanes, Lanes)>,
     steps: [usize; MAX_LANES],
@@ -134,13 +168,13 @@ impl TransientKernel {
     /// # Panics
     ///
     /// Panics if the tree is empty, if there are no lanes or more than
-    /// [`MAX_LANES`], or if a driver resistance is not positive.
+    /// [`MAX_LANES`], if a driver resistance is not finite and positive, or
+    /// if a supply or a ramp time is not finite.
     pub(crate) fn solve(&mut self, tree: &RcTree, lanes: &[Lane]) {
         assert!(!tree.is_empty(), "cannot simulate an empty stage");
-        assert!(
-            lanes.iter().all(|l| l.driver_res > 0.0),
-            "driver resistance must be positive"
-        );
+        for lane in lanes {
+            lane.check();
+        }
         match lanes.len() {
             1 => self.run::<1>(tree, lanes),
             2 => self.run::<2>(tree, lanes),
@@ -174,6 +208,7 @@ impl TransientKernel {
             down,
             rd,
             m1,
+            crossings,
             results,
             steps,
         } = self;
@@ -186,10 +221,10 @@ impl TransientKernel {
             diag: [0.0; MAX_LANES],
             v: [0.0; MAX_LANES],
             rhs: [0.0; MAX_LANES],
-            t10: [f64::NAN; MAX_LANES],
-            t50: [f64::NAN; MAX_LANES],
-            t90: [f64::NAN; MAX_LANES],
+            pend: [f64::NEG_INFINITY; MAX_LANES],
         }));
+        crossings.clear();
+        crossings.resize(n, [[f64::NAN; MAX_LANES]; 3]);
         results.clear();
         results.resize(n, ([0.0; MAX_LANES], [0.0; MAX_LANES]));
         tree.downstream_caps_into(1.0, down);
@@ -201,7 +236,7 @@ impl TransientKernel {
         let mut g0 = [0.0; L];
         let mut ramp = [0.0; L];
         let mut vdd = [0.0; L];
-        let (mut v10, mut v50, mut v90) = ([0.0; L], [0.0; L], [0.0; L]);
+        let mut thresholds = [[0.0; MAX_LANES]; 3];
         for (l, lane) in lanes.iter().enumerate() {
             tree.elmore_into(lane.driver_res, down, rd, m1);
             let tau_max = m1.iter().copied().fold(0.0_f64, f64::max).max(1.0);
@@ -213,9 +248,9 @@ impl TransientKernel {
             max_steps[l] = ((horizon / dt[l]).ceil() as usize).max(16);
             inv_dt[l] = 1.0 / dt[l];
             g0[l] = 1.0 / lane.driver_res;
-            v10[l] = 0.1 * lane.vdd;
-            v50[l] = 0.5 * lane.vdd;
-            v90[l] = 0.9 * lane.vdd;
+            thresholds[0][l] = 0.1 * lane.vdd;
+            thresholds[1][l] = 0.5 * lane.vdd;
+            thresholds[2][l] = 0.9 * lane.vdd;
         }
 
         // Pre-factor the (C/dt + G) tree matrix with leaf-first elimination:
@@ -288,13 +323,24 @@ impl TransientKernel {
                     }
                 }
                 let node = &mut nodes[i];
-                for l in 0..L {
-                    let (old, new) = (node.v[l], next[l]);
-                    record_crossing(&mut node.t10[l], old, new, v10[l], t[l], dt[l]);
-                    record_crossing(&mut node.t50[l], old, new, v50[l], t[l], dt[l]);
-                    if record_crossing(&mut node.t90[l], old, new, v90[l], t[l], dt[l]) {
-                        below90[l] -= 1;
+                // Below every pending threshold no crossing can be recorded.
+                let reached = (0..L).fold(false, |any, l| any | (next[l] >= node.pend[l]));
+                if reached {
+                    let marks = &mut crossings[i];
+                    let [v10, v50, v90] = &thresholds;
+                    for l in 0..L {
+                        if next[l] >= node.pend[l] {
+                            let (old, new) = (node.v[l], next[l]);
+                            record_crossing(&mut marks[0][l], old, new, v10[l], t[l], dt[l]);
+                            record_crossing(&mut marks[1][l], old, new, v50[l], t[l], dt[l]);
+                            if record_crossing(&mut marks[2][l], old, new, v90[l], t[l], dt[l]) {
+                                below90[l] -= 1;
+                            }
+                            node.pend[l] = pending(marks, &thresholds, l);
+                        }
                     }
+                }
+                for (l, &new) in next.iter().enumerate() {
                     node.v[l] = new;
                     node.rhs[l] = node.cdt[l] * new;
                 }
@@ -310,8 +356,8 @@ impl TransientKernel {
                 steps[l] = step;
                 // The source crosses 50% at ramp/2.
                 let source_t50 = 0.5 * ramp[l];
-                for (node, (delay50, slew)) in nodes.iter().zip(results.iter_mut()) {
-                    let (t10, t50, t90) = (node.t10[l], node.t50[l], node.t90[l]);
+                for (marks, (delay50, slew)) in crossings.iter().zip(results.iter_mut()) {
+                    let [t10, t50, t90] = marks.map(|m| m[l]);
                     delay50[l] = if t50.is_nan() {
                         f64::INFINITY
                     } else {
@@ -337,6 +383,15 @@ fn source_voltage(t: f64, vdd: f64, ramp: f64) -> f64 {
     } else {
         vdd * t / ramp
     }
+}
+
+/// The lowest of `lane`'s thresholds whose crossing is not recorded yet;
+/// +∞ once all are.
+fn pending(marks: &Crossings, thresholds: &[Lanes; 3], lane: usize) -> f64 {
+    (0..3)
+        .filter(|&k| marks[k][lane].is_nan())
+        .map(|k| thresholds[k][lane])
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Records the interpolated time of an upward threshold crossing; returns
@@ -366,6 +421,102 @@ fn record_crossing(
 mod tests {
     use super::*;
     use contango_tech::units;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The step loop as it was before crossings were guarded, one lane at a
+    /// time: the oracle the kernel must match bit for bit.
+    fn reference(tree: &RcTree, lane: Lane) -> TransientResult {
+        let n = tree.len();
+        let (mut down, mut rd, mut m1) = (Vec::new(), Vec::new(), Vec::new());
+        tree.downstream_caps_into(1.0, &mut down);
+        tree.wire_delays_into(1.0, &down, &mut rd);
+        tree.elmore_into(lane.driver_res, &down, &rd, &mut m1);
+        let tau_max = m1.iter().copied().fold(0.0_f64, f64::max).max(1.0);
+        let ramp = lane.ramp.max(1.0);
+        let dt = (tau_max / 60.0).min(ramp / 20.0).clamp(0.02, 5.0);
+        let horizon = ramp + 12.0 * tau_max + 50.0;
+        let max_steps = ((horizon / dt).ceil() as usize).max(16);
+        let inv_dt = 1.0 / dt;
+        let g0 = 1.0 / lane.driver_res;
+        let (v10, v50, v90) = (0.1 * lane.vdd, 0.5 * lane.vdd, 0.9 * lane.vdd);
+
+        let parent: Vec<usize> = tree.iter().map(|(p, _, _)| p).collect();
+        let g: Vec<f64> = tree
+            .iter()
+            .enumerate()
+            .map(|(i, (_, res, _))| if i == 0 { 0.0 } else { 1.0 / res.max(1e-3) })
+            .collect();
+        let cdt: Vec<f64> = tree
+            .iter()
+            .map(|(_, _, cap)| cap.max(1e-6) * inv_dt * 1e-3)
+            .collect();
+        let mut diag: Vec<f64> = (0..n)
+            .map(|i| cdt[i] + if i == 0 { g0 } else { g[i] })
+            .collect();
+        for i in 1..n {
+            diag[parent[i]] += g[i];
+        }
+        for i in (1..n).rev() {
+            diag[parent[i]] -= g[i] * g[i] / diag[i];
+        }
+
+        let (mut v, mut rhs) = (vec![0.0; n], vec![0.0; n]);
+        let mut t10 = vec![f64::NAN; n];
+        let mut t50 = vec![f64::NAN; n];
+        let mut t90 = vec![f64::NAN; n];
+        let mut below90 = n;
+        let mut step = 0usize;
+        loop {
+            step += 1;
+            let t = step as f64 * dt;
+            rhs[0] += g0 * source_voltage(t, lane.vdd, ramp);
+            for i in (1..n).rev() {
+                rhs[parent[i]] += g[i] * rhs[i] / diag[i];
+            }
+            for i in 0..n {
+                let new = if i == 0 {
+                    rhs[0] / diag[0]
+                } else {
+                    (rhs[i] + g[i] * v[parent[i]]) / diag[i]
+                };
+                record_crossing(&mut t10[i], v[i], new, v10, t, dt);
+                record_crossing(&mut t50[i], v[i], new, v50, t, dt);
+                if record_crossing(&mut t90[i], v[i], new, v90, t, dt) {
+                    below90 -= 1;
+                }
+                v[i] = new;
+                rhs[i] = cdt[i] * new;
+            }
+            if (below90 == 0 && t > ramp) || step == max_steps {
+                break;
+            }
+        }
+        let source_t50 = 0.5 * ramp;
+        TransientResult {
+            delay50: t50
+                .iter()
+                .map(|&t| {
+                    if t.is_nan() {
+                        f64::INFINITY
+                    } else {
+                        t - source_t50
+                    }
+                })
+                .collect(),
+            slew: t10
+                .iter()
+                .zip(&t90)
+                .map(|(&a, &b)| {
+                    if a.is_nan() || b.is_nan() {
+                        f64::INFINITY
+                    } else {
+                        b - a
+                    }
+                })
+                .collect(),
+            steps: step,
+        }
+    }
 
     /// Lumped RC: 100 Ω driver into a single 500 fF capacitor.
     fn lumped() -> RcTree {
@@ -480,11 +631,18 @@ mod tests {
             (0x404356cf736a6533, 0x405c0e3d51accac8),
             (0x4045dd120590edc9, 0x405c4bfa5867a16e),
         ];
-        let res = TransientSolver::new(&awkward(), 150.0, 1.2, 30.0).solve();
-        assert_eq!(res.steps, 145);
-        for (i, &(delay, slew)) in pinned.iter().enumerate() {
-            assert_eq!(res.delay50[i].to_bits(), delay, "node {i} delay");
-            assert_eq!(res.slew[i].to_bits(), slew, "node {i} slew");
+        let lane = Lane {
+            driver_res: 150.0,
+            vdd: 1.2,
+            ramp: 30.0,
+        };
+        let solved = TransientSolver::new(&awkward(), lane.driver_res, lane.vdd, lane.ramp).solve();
+        for res in [solved, reference(&awkward(), lane)] {
+            assert_eq!(res.steps, 145);
+            for (i, &(delay, slew)) in pinned.iter().enumerate() {
+                assert_eq!(res.delay50[i].to_bits(), delay, "node {i} delay");
+                assert_eq!(res.slew[i].to_bits(), slew, "node {i} slew");
+            }
         }
     }
 
@@ -552,6 +710,141 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A random stage of `n` nodes; about one wire in eight has zero length
+    /// and about one node in eight has no capacitance.
+    fn random_tree(rng: &mut StdRng, n: usize) -> RcTree {
+        let mut tree = RcTree::new();
+        tree.add_root(rng.gen_range(0.0..40.0));
+        for i in 1..n {
+            let parent = rng.gen_range(0..i);
+            let res = if rng.gen_range(0..8) == 0 {
+                0.0
+            } else {
+                rng.gen_range(1.0..200.0)
+            };
+            let cap = if rng.gen_range(0..8) == 0 {
+                0.0
+            } else {
+                rng.gen_range(0.5..15.0)
+            };
+            tree.add_node(parent, res, cap);
+        }
+        tree
+    }
+
+    /// A random source; about one lane in six has a dead supply, and about
+    /// one in ten a ramp under the simulated 1 ps minimum.
+    fn random_lane(rng: &mut StdRng) -> Lane {
+        Lane {
+            driver_res: rng.gen_range(20.0..300.0),
+            vdd: if rng.gen_range(0..6) == 0 {
+                0.0
+            } else {
+                rng.gen_range(0.8..1.3)
+            },
+            ramp: if rng.gen_range(0..10) == 0 {
+                rng.gen_range(0.0..2.0)
+            } else {
+                rng.gen_range(2.0..150.0)
+            },
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_step_loop_on_random_stages() {
+        let mut rng = StdRng::seed_from_u64(0x7e57);
+        let mut kernel = TransientKernel::default();
+        let mut widths = [false; MAX_LANES + 1];
+        let (mut zero_wire, mut zero_cap, mut dead, mut staggered) = (0, 0, 0, 0);
+        for case in 0..120 {
+            let n = match case {
+                0 => 1,
+                1 => 64,
+                _ => rng.gen_range(1..65),
+            };
+            let tree = random_tree(&mut rng, n);
+            let width = rng.gen_range(1..MAX_LANES + 1);
+            let lanes: Vec<Lane> = (0..width).map(|_| random_lane(&mut rng)).collect();
+            kernel.solve(&tree, &lanes);
+            let mut steps = Vec::new();
+            for (l, &lane) in lanes.iter().enumerate() {
+                let want = reference(&tree, lane);
+                assert_eq!(kernel.steps(l), want.steps, "case {case}, lane {l}");
+                for node in 0..tree.len() {
+                    assert_eq!(
+                        kernel.delay50(l, node).to_bits(),
+                        want.delay50[node].to_bits(),
+                        "case {case}, lane {l}, node {node} delay"
+                    );
+                    assert_eq!(
+                        kernel.slew(l, node).to_bits(),
+                        want.slew[node].to_bits(),
+                        "case {case}, lane {l}, node {node} slew"
+                    );
+                }
+                steps.push(want.steps);
+            }
+            widths[width] = true;
+            zero_wire += usize::from(tree.iter().skip(1).any(|(_, res, _)| res == 0.0));
+            zero_cap += usize::from(tree.iter().any(|(_, _, cap)| cap == 0.0));
+            dead += usize::from(lanes.iter().any(|l| l.vdd == 0.0));
+            steps.sort_unstable();
+            steps.dedup();
+            staggered += usize::from(steps.len() > 1);
+        }
+        assert!(
+            widths[1..].iter().all(|&w| w),
+            "every lane width must be drawn"
+        );
+        for (what, count) in [
+            ("zero-length wires", zero_wire),
+            ("zero-cap nodes", zero_cap),
+            ("dead-supply lanes", dead),
+            ("lanes stopping apart", staggered),
+        ] {
+            assert!(count >= 20, "only {count} cases with {what}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ramp time must be finite")]
+    fn infinite_ramp_rejected() {
+        let _ = TransientSolver::new(&lumped(), 100.0, 1.2, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "ramp time must be finite")]
+    fn nan_ramp_rejected() {
+        let _ = TransientSolver::new(&lumped(), 100.0, 1.2, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "supply voltage must be finite")]
+    fn nan_supply_rejected() {
+        let _ = TransientSolver::new(&lumped(), 100.0, f64::NAN, 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "driver resistance must be finite and positive")]
+    fn infinite_driver_resistance_rejected() {
+        let _ = TransientSolver::new(&lumped(), f64::INFINITY, 1.2, 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "supply voltage must be finite")]
+    fn kernel_rejects_a_non_finite_lane() {
+        let good = Lane {
+            driver_res: 100.0,
+            vdd: 1.2,
+            ramp: 2.0,
+        };
+        let bad = Lane {
+            vdd: f64::INFINITY,
+            ..good
+        };
+        TransientKernel::default().solve(&lumped(), &[good, bad]);
     }
 
     #[test]
